@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError, GraphInputError
-from .graphs import BipartiteGraph, Graph, _count_components_masked, is_connected
+from .graphs import BipartiteGraph, Graph, _bits, _components, _reach, is_connected
 
 WIN_N_CAP = 20
 BRUTE_MATCHING_CAP = 8
@@ -75,13 +75,6 @@ def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, HallViolator):
         return {"type": "hall_violator", "data": list(cert.vertices)}
     raise TypeError(f"not a certificate: {cert!r}")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +132,8 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         avail = [und[v] & cap_ok if deg[v] < k else 0 for v in range(n)]
         # the possibility graph (tree edges plus usable undecided edges)
         # must still be connected
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= tree_adj[low.bit_length() - 1] | avail[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != full:
+        possible = [t | a for t, a in zip(tree_adj, avail)]
+        if _reach(possible, 1, full) != full:
             return False
         # every fragment still needs at least one edge to the outside
         for block in members.values():
@@ -261,11 +244,11 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
         mask = 0
         for v in sel:
             mask |= 1 << v
-        c = _count_components_masked(masks, full & ~mask)
+        c = len(_components(masks, full & ~mask))
         return c > (k - 2) * len(sel) + 2
 
     arts = [v for v in range(n)
-            if _count_components_masked(masks, full & ~(1 << v)) > 1]
+            if len(_components(masks, full & ~(1 << v))) > 1]
     for s in range(1, min(smax, len(arts)) + 1):
         for sel in combinations(arts, s):
             if violates(sel):

@@ -33,6 +33,3 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
-
-class NumericError(RuntimeError):
-    """A root-finding or numeric routine could not produce a certified answer."""

@@ -25,6 +25,7 @@ from .errors import DomainError, GraphInputError
 from .graphs import (
     BipartiteGraph,
     Graph,
+    _components,
     bipartite_join,
     complete_bipartite,
     complete_graph,
@@ -32,7 +33,6 @@ from .graphs import (
     empty_graph,
     join,
 )
-from .smallgraphs import ISO_CAP, are_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -217,91 +217,52 @@ def win_family_bound_polynomials(n: int, k: int, s: float) -> tuple[float, float
 
 
 def is_ktree_extremal(g: Graph, n: int, k: int) -> bool:
-    """True iff g is isomorphic to ktree_extremal(n, k)."""
+    """True iff g is isomorphic to ktree_extremal(n, k).
+
+    Exact for every order: g is such a graph iff some vertex has degree n-1
+    and deleting it leaves one complete component on n-k-1 vertices and k
+    isolated vertices.  With the edge count fixed, those component sizes
+    already force the big component to be complete.
+    """
     if k < 2 or n < k + 2 or g.n != n:
         return False
     clique_size = n - k - 1
     if g.m != clique_size * (clique_size - 1) // 2 + (n - 1):
         return False
-    if _ktree_extremal_structure(g, n, k):
-        return True
-    if n <= ISO_CAP:
-        return are_isomorphic(g, ktree_extremal(n, k))
-    return False
-
-
-def _ktree_extremal_structure(g: Graph, n: int, k: int) -> bool:
-    clique_size = n - k - 1
-    degs = g.degrees
+    masks = g.neighbor_masks
+    full = (1 << n) - 1
+    want = sorted([1] * k + [clique_size])
     for center in range(n):
-        if degs[center] != n - 1:
+        if g.degrees[center] != n - 1:
             continue
-        rest = [v for v in range(n) if v != center]
-        # component structure of g - center: one complete block plus k
-        # isolated vertices
-        comp_of: dict[int, int] = {}
-        comps: list[list[int]] = []
-        for v in rest:
-            if v in comp_of:
-                continue
-            stack = [v]
-            comp_of[v] = len(comps)
-            members = [v]
-            while stack:
-                w = stack.pop()
-                for u in g.neighbors(w):
-                    if u != center and u not in comp_of:
-                        comp_of[u] = len(comps)
-                        members.append(u)
-                        stack.append(u)
-            comps.append(members)
-        sizes = sorted(len(c) for c in comps)
-        if sizes != sorted([1] * k + [clique_size]):
-            continue
-        big = max(comps, key=len)
-        edges_in_big = sum(
-            1 for i, u in enumerate(big) for v in big[i + 1:] if g.has_edge(u, v))
-        if edges_in_big == clique_size * (clique_size - 1) // 2:
+        comps = _components(masks, full & ~(1 << center))
+        if sorted(c.bit_count() for c in comps) == want:
             return True
     return False
 
 
 def is_matching_extremal(b: BipartiteGraph, n: int, delta: int) -> bool:
-    """True iff b is isomorphic (parts may swap) to matching_extremal(n, delta)."""
+    """True iff b is isomorphic (parts may swap) to matching_extremal(n, delta).
+
+    Exact for every order: in one of the two orientations, delta+1 rows
+    share the same delta neighbors and the other n-delta-1 rows are complete.
+    Every isomorphism keeps or swaps the parts: the graph is connected, or
+    for delta in {0, n-1} one isolated vertex fills the smaller side.
+    """
     if delta < 0 or delta > n - 1:
         return False
     if b.nx != n or b.ny != n:
         return False
-    expected_m = delta * (delta + 1) + (n - delta - 1) * (n - delta) + delta * (n - delta - 1)
-    if b.m != expected_m:
-        return False
-    if _matching_extremal_structure(np.asarray(b.biadj), n, delta):
-        return True
-    if _matching_extremal_structure(np.asarray(b.biadj).T, n, delta):
-        return True
-    if 2 * n <= ISO_CAP:
-        return are_isomorphic(b.to_graph(), matching_extremal(n, delta).to_graph())
-    return False
+    biadj = np.asarray(b.biadj)
+    return (_matching_extremal_structure(biadj, n, delta)
+            or _matching_extremal_structure(biadj.T, n, delta))
 
 
 def _matching_extremal_structure(biadj: np.ndarray, n: int, s: int) -> bool:
+    # s+1 identical rows of degree s (X1 over Y1) and n-s-1 complete rows
+    # (X2) fix every entry, so the columns outside Y1 see exactly X2
     x_degs = biadj.sum(axis=1)
     x1 = np.flatnonzero(x_degs == s)
-    if len(x1) != s + 1:
+    if len(x1) != s + 1 or np.count_nonzero(x_degs == n) != n - s - 1:
         return False
-    x2 = np.flatnonzero(x_degs == n)
-    if len(x2) != n - s - 1:
-        return False
-    if s > 0:
-        y1_pattern = biadj[x1[0]]
-        if int(y1_pattern.sum()) != s:
-            return False
-        if not all(np.array_equal(biadj[x], y1_pattern) for x in x1[1:]):
-            return False
-    else:
-        y1_pattern = np.zeros(n, dtype=bool)
-    # Y2 vertices see exactly the X2 block
-    y2 = np.flatnonzero(~y1_pattern)
-    x2_mask = np.zeros(n, dtype=bool)
-    x2_mask[x2] = True
-    return all(np.array_equal(biadj[:, y], x2_mask) for y in y2)
+    return bool((biadj[x1] == biadj[x1[0]]).all())

@@ -21,6 +21,12 @@ import numpy as np
 from .errors import Graph6ParseError, GraphInputError
 
 
+def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an integer bitmask (bit j set iff row[j])."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -58,13 +64,7 @@ class Graph:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighborhoods as integer bitmasks (bit u set iff u ~ v)."""
-        masks = []
-        for v in range(self._n):
-            mask = 0
-            for u in np.flatnonzero(self._adj[v]):
-                mask |= 1 << int(u)
-            masks.append(mask)
-        return tuple(masks)
+        return _row_masks(self._adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -155,13 +155,7 @@ class BipartiteGraph:
     @cached_property
     def x_masks(self) -> tuple[int, ...]:
         """Neighborhoods of X vertices as bitmasks over Y indices."""
-        masks = []
-        for x in range(self._nx):
-            mask = 0
-            for y in np.flatnonzero(self._biadj[x]):
-                mask |= 1 << int(y)
-            masks.append(mask)
-        return tuple(masks)
+        return _row_masks(self._biadj)
 
     def is_balanced(self) -> bool:
         return self._nx == self._ny
@@ -296,41 +290,41 @@ def bipartite_join(b1: BipartiteGraph, b2: BipartiteGraph) -> BipartiteGraph:
 # structural queries
 
 
-def is_connected(g: Graph) -> bool:
-    masks = g.neighbor_masks
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(masks: Sequence[int], start: int, alive: int) -> int:
+    """Vertices of `alive` reachable from the vertex set `start`, as a bitmask."""
+    seen = frontier = start
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= masks[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
-
-
-def _count_components_masked(masks: Sequence[int], alive: int) -> int:
-    count = 0
-    rem = alive
-    while rem:
-        count += 1
-        frontier = rem & -rem
-        seen = frontier
         while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v]
-            frontier = nxt & alive & ~seen
-            seen |= frontier
-        rem &= ~seen
-    return count
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(masks: Sequence[int], alive: int) -> list[int]:
+    """Components of the subgraph induced by `alive`, as bitmasks, lowest first."""
+    comps = []
+    while alive:
+        comp = _reach(masks, alive & -alive, alive)
+        comps.append(comp)
+        alive &= ~comp
+    return comps
+
+
+def is_connected(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return _reach(g.neighbor_masks, 1, full) == full
 
 
 def components_after_removal(g: Graph, removed: Iterable[int]) -> int:
@@ -344,7 +338,7 @@ def components_after_removal(g: Graph, removed: Iterable[int]) -> int:
             raise GraphInputError(f"vertex {v} out of range 0..{g.n - 1}")
         mask |= 1 << v
     alive = ((1 << g.n) - 1) & ~mask
-    return _count_components_masked(g.neighbor_masks, alive)
+    return len(_components(g.neighbor_masks, alive))
 
 
 def min_degree(g: Graph | BipartiteGraph) -> int:

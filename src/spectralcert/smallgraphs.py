@@ -7,8 +7,9 @@ vertices by attaching a new vertex to a nonempty neighbor set, since a
 spanning tree always has a non-cut leaf) and deduplicated with a
 color-refinement fingerprint plus an exact backtracking isomorphism test.
 
-The isomorphism test is also the fallback used by the extremal-family
-recognizers; it is capped at 12 vertices.
+The isomorphism test also decides the Hamilton-path harnesses' exceptional
+graphs and serves the tests as an independent oracle for the structural
+extremal-family recognizers; it is capped at 12 vertices.
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, GraphInputError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 ISO_CAP = 12
 CORPUS_CAP = 8
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _refine_colors(n: int, masks: tuple[int, ...]) -> list[int]:

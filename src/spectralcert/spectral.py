@@ -9,8 +9,8 @@ solved per connected block of the support pattern and the maximum is
 returned, with the winning Perron vector zero-padded.
 
 Also provides the classical edge-count bounds on the two spectral radii,
-quotient matrices of vertex partitions, and a characteristic-polynomial
-bisection solver for small (possibly nonsymmetric) quotient matrices.
+quotient matrices of vertex partitions, and the largest real eigenvalue of
+small (possibly nonsymmetric) quotient matrices.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GraphInputError, NumericError
-from .graphs import Graph
+from .errors import ConvergenceError, DomainError, GraphInputError
+from .graphs import Graph, _bits, _components
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100000
@@ -81,23 +81,8 @@ def _support_components(m: np.ndarray) -> list[np.ndarray]:
     n = m.shape[0]
     support = m != 0
     np.fill_diagonal(support, False)
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(support[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(int(u))
-                    stack.append(int(u))
-        comps.append(np.array(sorted(comp)))
-    return comps
+    comps = _components(Graph(n, support).neighbor_masks, (1 << n) - 1)
+    return [np.array(list(_bits(c))) for c in comps]
 
 
 def _power_iterate(m: np.ndarray, tol: float, max_iterations: int):
@@ -232,70 +217,22 @@ def quotient_matrix(m: np.ndarray, classes: Sequence[Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
-# dense largest real eigenvalue via characteristic polynomial bisection
+# dense largest real eigenvalue
 
 
-def _char_poly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Coefficients of det(xI - M), leading first, by Faddeev-LeVerrier."""
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    mk = np.array(m, dtype=float)
-    for k in range(1, n + 1):
-        c = -np.trace(mk) / k
-        coeffs[k] = c
-        if k < n:
-            mk = m @ (mk + c * np.eye(n))
-    return coeffs
+def largest_eigenvalue_dense(m: np.ndarray) -> float:
+    """Largest real part among the eigenvalues of a small nonnegative matrix.
 
-
-def largest_eigenvalue_dense(m: np.ndarray, tol: float = 1e-13) -> float:
-    """Largest real eigenvalue of a small nonnegative matrix.
-
-    Intended for quotient matrices of order <= 8.  Finds the topmost sign
-    change of the characteristic polynomial below the max-row-sum Perron
-    bound and bisects it down to `tol` (relative).
+    Intended for quotient matrices of order <= 8, which need not be
+    symmetric; for a nonnegative matrix this is its Perron root.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphInputError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > 8:
-        raise GraphInputError("dense characteristic-polynomial solver is capped at order 8")
+        raise GraphInputError("dense eigenvalue solver is capped at order 8")
     if not np.isfinite(m).all():
         raise GraphInputError("matrix entries must be finite")
     if (m < 0).any():
         raise GraphInputError("matrix entries must be nonnegative")
-    coeffs = _char_poly_coeffs(m)
-
-    def p(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    upper = float(np.max(m.sum(axis=1))) + 1.0
-    lower = 0.0
-    steps = 4096
-    grid = np.linspace(upper, lower, steps + 1)
-    hi = grid[0]
-    phi = p(hi)
-    bracket = None
-    for x in grid[1:]:
-        px = p(x)
-        if phi > 0.0 >= px:
-            bracket = (x, hi)
-            break
-        hi, phi = x, px
-    if bracket is None:
-        raise NumericError(
-            "no sign change of the characteristic polynomial in [0, max row sum]")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-        if p(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(np.linalg.eigvals(m).real.max())

@@ -202,3 +202,57 @@ def test_bipartition_rejects_odd_cycles_and_imbalance():
         _bipartition(cycle_graph(5))
     with pytest.raises(GraphInputError):
         _bipartition(path_graph(3))  # 2-1 split cannot balance
+
+
+def test_verify_edge_deletion_inside_huge_margin_exits_zero(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["verify", "edge-deletion", "--nx", "6", "--margin", "1e300",
+                 "--report", str(report)]) == 0
+    assert "violated=0" in capsys.readouterr().out
+    counts = json.loads(report.read_text())["counts"]
+    assert counts["vacuous"] == 4 + 20 + 20  # every single and deep deletion row
+
+
+def test_verify_matching_wide_samples(capsys):
+    code = main(["verify", "matching", "--nx", "8", "--count", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "checked=5" in out
+
+
+def test_verify_ktree_bad_edge_probability_one_line(capsys):
+    for p in ("0", "nan", "1.5"):
+        assert main(["verify", "ktree", "--count", "1", "--p", p]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
+def test_verify_ktree_tiny_edge_probability_hits_draw_budget(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["verify", "ktree", "--count", "1", "--n", "22", "--p", "1e-9"]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert elapsed < 5.0
+
+
+def test_python_dash_m_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "spectralcert.cli", "verify", "matching", "--nx", "2",
+         "--delta", "1"], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert "matching_family_threshold_adjacency: checked=16" in out.stdout

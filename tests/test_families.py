@@ -326,3 +326,77 @@ def test_matching_recognizer_rejects_perturbations():
     from spectralcert.graphs import complete_bipartite
 
     assert not is_matching_extremal(complete_bipartite(5, 5), 5, 2)
+
+
+def _relabel(g, rng):
+    from spectralcert.graphs import Graph
+
+    perm = rng.permutation(g.n)
+    adj = np.zeros_like(g.adj)
+    adj[np.ix_(perm, perm)] = g.adj
+    return Graph(g.n, adj)
+
+
+def test_ktree_recognizer_agrees_with_isomorphism_exhaustively():
+    # every connected graph on 4..7 vertices with the family's edge count,
+    # randomly relabeled, against the exact isomorphism test
+    from spectralcert.smallgraphs import are_isomorphic, connected_graphs
+
+    rng = np.random.default_rng(5)
+    checked = matches = 0
+    for n in range(4, 8):
+        graphs = connected_graphs(n)
+        for k in range(2, n - 1):
+            target = ktree_extremal(n, k)
+            for g in graphs:
+                if g.m != target.m:
+                    continue
+                g = _relabel(g, rng)
+                expected = are_isomorphic(g, target)
+                assert is_ktree_extremal(g, n, k) == expected, (n, k, g.edges())
+                checked += 1
+                matches += expected
+    assert matches == 1 + 2 + 3 + 4  # one class per (n, k)
+    assert checked == 328
+
+
+def test_matching_recognizer_agrees_with_isomorphism_exhaustively():
+    # every n+n pattern (n <= 4) with the family's edge count, in both
+    # orientations, against the exact isomorphism test
+    from spectralcert.smallgraphs import are_isomorphic
+    from spectralcert.verify import bipartite_from_bits
+
+    checked = matches = 0
+    for n in range(1, 5):
+        for delta in range(n):
+            target = matching_extremal(n, delta)
+            target_graph = target.to_graph()
+            for bits in range(1 << (n * n)):
+                if bits.bit_count() != target.m:
+                    continue
+                b = bipartite_from_bits(n, bits)
+                for oriented in (b, b.transpose()):
+                    expected = are_isomorphic(oriented.to_graph(), target_graph)
+                    assert is_matching_extremal(oriented, n, delta) == expected, (n, delta, bits)
+                    checked += 1
+                    matches += expected
+    assert checked == 39926
+    assert matches > 0
+
+
+def test_families_does_not_import_smallgraphs():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, spectralcert.families; "
+            "print('spectralcert.smallgraphs' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from spectralcert.errors import GraphInputError
@@ -45,6 +46,14 @@ def test_bipartite_bit_stream_modes():
     assert sample == bipartite_bit_stream(5, 10, 7)
     with pytest.raises(GraphInputError):
         bipartite_bit_stream(5, None, 0)
+    # 8*8 = 64 bits exceed one rng.integers draw: a 62-bit and a 2-bit chunk
+    wide = bipartite_bit_stream(8, 50, 3)
+    assert wide == bipartite_bit_stream(8, 50, 3)
+    assert all(0 <= bits < 1 << 64 for bits in wide)
+    assert max(wide) >= 1 << 62
+    # up to 62 bits a pattern is one draw, so samples at n <= 7 are unchanged
+    rng = np.random.default_rng(3)
+    assert bipartite_bit_stream(7, 5, 3) == [int(rng.integers(0, 1 << 49)) for _ in range(5)]
 
 
 def test_bipartite_from_bits_roundtrip():
