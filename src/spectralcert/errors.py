@@ -22,9 +22,11 @@ class CapacityError(GraphInputError):
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to certify within the iteration budget.
+    """Eigensolver could not certify its eigenpair.
 
-    Carries the best iterate so callers can inspect how close it got.
+    Raised when the residual certificate still fails after the allowed
+    inverse-iteration solves, or when a solve breaks down.  Carries the
+    eigenvalue, the last residual and the number of solves.
     """
 
     def __init__(self, message: str, radius: float, residual: float, iterations: int):

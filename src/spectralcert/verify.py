@@ -192,6 +192,8 @@ def random_connected_stream(n: int, count: int, p: float, seed: int) -> list[str
     Each graph gets at most DRAWS_PER_GRAPH draws; running out raises
     GraphInputError, since p is then too small for connected graphs.
     """
+    if count < 0:
+        raise GraphInputError(f"graph count must be nonnegative, got {count}")
     if not 0 < p <= 1:
         raise GraphInputError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -222,6 +224,8 @@ def bipartite_from_bits(n: int, bits: int) -> BipartiteGraph:
 def bipartite_bit_stream(n: int, sample_count: int | None, seed: int) -> list[int]:
     """Exhaustive bit patterns for n <= 4 (when no sample count is forced),
     uniform random patterns otherwise."""
+    if sample_count is not None and sample_count < 0:
+        raise GraphInputError(f"sample count must be nonnegative, got {sample_count}")
     if sample_count is None:
         if n > 4:
             raise GraphInputError(
@@ -320,9 +324,9 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 # bounded-degree spanning trees
 
 
-def _ktree_item(params: tuple, line: str) -> dict:
+def _ktree_item(params: tuple, item: tuple[str, Graph]) -> dict:
     k, a, thresholds, tol, margin = params
-    g = from_graph6(line)
+    line, g = item
     row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
            "verdict": VACUOUS, "certificate_type": None}
     if not is_connected(g) or g.n < 2 * k + 16:
@@ -356,13 +360,13 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
     if a not in (0.0, 1.0, 0, 1):
         raise GraphInputError("the threshold comparison is stated for a in {0, 1}")
     lines = as_graph6_lines(stream)
-    orders = sorted({from_graph6(line).n for line in lines})
+    items = [(line, from_graph6(line)) for line in lines]
     thresholds = {
         n: spectral_radius(a_matrix(ktree_extremal(n, k), float(a)), tol).radius
-        for n in orders if n >= 2 * k + 16
+        for n in {g.n for _, g in items} if n >= 2 * k + 16
     }
     rows = _map_items(partial(_ktree_item, (k, float(a), thresholds, tol, margin)),
-                      lines, workers)
+                      items, workers)
     return _finalize(
         theorem_id=f"ktree_{'adjacency' if a in (0, 0.0) else 'signless_laplacian'}",
         population=f"{len(lines)} streamed graphs",

@@ -240,6 +240,31 @@ def test_verify_ktree_tiny_edge_probability_hits_draw_budget(capsys):
     assert elapsed < 5.0
 
 
+def test_verify_negative_count_one_line(capsys):
+    for argv in (["verify", "matching", "--nx", "5", "--count", "-5"],
+                 ["verify", "ktree", "--count", "-3"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
+def test_verify_matching_count_zero_is_exhaustive(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "matching", "--nx", "2", "--delta", "1", "--count", "0",
+                 "--report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["population"] == "exhaustive 2+2 biadjacency patterns"
+    assert report["counts"]["checked"] == 16
+
+
+def test_spectral_unreachable_tolerance_exits_numeric(capsys):
+    assert main(["spectral", _g6(path_graph(5)), "--tol", "1e-300"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_python_dash_m_entry_point():
     import os
     import subprocess

@@ -1,11 +1,12 @@
-"""Spectral kernel: matrices, power iteration, bounds, quotients."""
+"""Spectral kernel: matrices, certified eigensolver, bounds, quotients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spectralcert.errors import DomainError, GraphInputError
+from spectralcert.errors import ConvergenceError, DomainError, GraphInputError
+from spectralcert.families import matching_extremal
 from spectralcert.graphs import (
     Graph,
     complete_bipartite,
@@ -112,6 +113,46 @@ def test_perron_residual_certificate():
         res = spectral_radius(m)
         direct = float(np.max(np.abs(m @ res.vector - res.radius * res.vector)))
         assert direct <= TOL * max(1.0, res.radius) * 1.0000001
+
+
+def test_spectral_radius_equal_components():
+    # tied blocks: the vector is the Perron vector of the first block only
+    for parts, radius, support in [
+        ([complete_graph(4), complete_graph(4)], 3.0, 4),
+        ([complete_graph(3), complete_graph(3), complete_graph(1)], 2.0, 3),
+    ]:
+        m = adjacency(disjoint_union(parts))
+        res = spectral_radius(m)
+        assert abs(res.radius - radius) <= 1e-9
+        assert abs(np.linalg.norm(res.vector) - 1.0) < 1e-12
+        assert (res.vector[:support] > 0).all()
+        assert np.all(res.vector[support:] == 0)
+        direct = float(np.max(np.abs(m @ res.vector - res.radius * res.vector)))
+        assert direct <= TOL * max(1.0, res.radius)
+
+
+def test_spectral_radius_dense_oracle_larger_orders():
+    rng = np.random.default_rng(5)
+    graphs = [_random_connected(n, p, rng) for n, p in [(22, 0.3), (40, 0.2), (60, 0.5)]]
+    graphs += [matching_extremal(n, s).to_graph()
+               for n, s in [(10, 1), (25, 5), (50, 10), (100, 10), (100, 33)]]
+    for g in graphs:
+        assert is_connected(g)
+        for a in (0.0, 1.0):
+            m = a_matrix(g, a)
+            res = spectral_radius(m)
+            want = float(np.linalg.eigvalsh(m)[-1])
+            assert abs(res.radius - want) <= 1e-8 * max(1.0, want)
+            assert (res.vector > 0).all()
+            assert res.residual <= TOL * max(1.0, res.radius)
+
+
+def test_spectral_radius_unreachable_tolerance_raises():
+    m = adjacency(path_graph(5))
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radius(m, tol=1e-300)
+    assert abs(info.value.radius - math.sqrt(3)) <= 1e-12
+    assert info.value.residual > 1e-300 * info.value.radius
 
 
 def test_hong_bound_values():

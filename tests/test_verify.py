@@ -240,6 +240,26 @@ def test_worker_count_does_not_change_report():
     assert seq.to_json() == par.to_json()
 
 
+def test_worker_count_does_not_change_ktree_report():
+    # orders above 28 put LAPACK calls inside forked workers
+    stream = [ktree_extremal(22, 3)]
+    stream += random_connected_stream(22, 1, 0.95, seed=4)
+    stream += random_connected_stream(40, 1, 0.97, seed=4)
+    seq = verify_ktree_condition(stream, 3, 0.0, workers=1)
+    par = verify_ktree_condition(stream, 3, 0.0, workers=2)
+    assert seq.counts["checked"] == 3
+    assert seq.to_json() == par.to_json()
+
+
+def test_streams_reject_negative_counts():
+    with pytest.raises(GraphInputError):
+        bipartite_bit_stream(5, -5, 0)
+    with pytest.raises(GraphInputError):
+        random_connected_stream(22, -3, 0.5, seed=0)
+    assert bipartite_bit_stream(5, 0, 0) == []
+    assert random_connected_stream(22, 0, 0.5, seed=0) == []
+
+
 def test_random_stream_reproducible():
     a = random_connected_stream(8, 5, 0.5, seed=11)
     b = random_connected_stream(8, 5, 0.5, seed=11)
