@@ -6,13 +6,17 @@ nonexistence within the stated caps.
 * ``find_k_tree``: spanning tree with maximum degree at most k, by
   edge-addition DFS over a fixed edge order (most constrained endpoints
   first) with three prunes: degree caps, connectivity of the remaining
-  possibility graph, and a per-component outward degree budget.
+  possibility graph, and a per-component outward degree budget.  The DFS
+  branches only on live edges; dead edges (both ends in one fragment, or
+  an end already at degree k) are passed over without a feasibility check.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size (articulation-guided
   fast path, then full enumeration).
-* ``perfect_matching``: augmenting-path maximum matching; on failure the
-  X-side vertices reachable by alternating paths from an unmatched vertex
-  form a neighborhood-deficient set, returned as the counter-certificate.
+* ``perfect_matching``: augmenting-path maximum matching, each path found
+  by a depth-first search on an explicit stack, so no path is too long for
+  the interpreter's recursion limit; on failure the X-side vertices
+  reachable by alternating paths from an unmatched vertex form a
+  neighborhood-deficient set, returned as the counter-certificate.
 * ``count_perfect_matchings_brute``: permanent of the biadjacency matrix by
   inclusion-exclusion, the independent oracle for the matching routines.
 
@@ -84,7 +88,12 @@ def certificate_to_json(cert: Certificate) -> dict:
 def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """A spanning tree of g with every degree <= k, or None if none exists.
 
-    Exact search; g must be connected.
+    Exact search; g must be connected.  Each search node checks feasibility
+    once, then skips dead edges and branches (add, then exclude) on the
+    next live one.  Skipping is exact: fragments only merge and degrees only
+    grow below a node, so a dead edge stays dead there, and the prunes never
+    read a dead edge (an edge inside a fragment joins vertices the tree
+    already connects; an edge at a full vertex is masked by the degree cap).
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -153,33 +162,38 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     def search(i: int) -> bool:
         if len(chosen) == n - 1:
             return True
-        if i == m:
-            return False
         if not feasible():
             return False
-        u, v = edges[i]
+        # A dead edge (ends in one fragment, or an end at degree k) stays dead
+        # below this node and feasible() never reads its und bit: skip it.
+        while True:
+            if i == m:
+                return False
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru != rv and deg[u] < k and deg[v] < k:
+                break
+            i += 1
         und[u] &= ~(1 << v)
         und[v] &= ~(1 << u)
-        ru, rv = find(u), find(v)
-        if ru != rv and deg[u] < k and deg[v] < k:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            deg[u] += 1
-            deg[v] += 1
-            tree_adj[u] |= 1 << v
-            tree_adj[v] |= 1 << u
-            chosen.append((u, v))
-            if search(i + 1):
-                return True
-            chosen.pop()
-            tree_adj[u] &= ~(1 << v)
-            tree_adj[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
-            parent[rv] = rv
-            size[ru] -= size[rv]
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        size[ru] += size[rv]
+        deg[u] += 1
+        deg[v] += 1
+        tree_adj[u] |= 1 << v
+        tree_adj[v] |= 1 << u
+        chosen.append((u, v))
+        if search(i + 1):
+            return True
+        chosen.pop()
+        tree_adj[u] &= ~(1 << v)
+        tree_adj[v] &= ~(1 << u)
+        deg[u] -= 1
+        deg[v] -= 1
+        parent[rv] = rv
+        size[ru] -= size[rv]
         if search(i + 1):
             return True
         und[u] |= 1 << v
@@ -273,20 +287,34 @@ def perfect_matching(b: BipartiteGraph) -> PerfectMatching | HallViolator:
     match_x = [-1] * n
     match_y = [-1] * n
 
-    def augment(x: int, visited: list[bool]) -> bool:
-        for y in _bits(adj[x]):
-            if visited[y]:
+    def augment(root: int) -> bool:
+        # depth-first over alternating paths; frame i tries the Y vertices of
+        # its X vertex in ascending order and descended through via[i]
+        visited = [False] * n
+        frames = [(root, _bits(adj[root]))]
+        via: list[int] = []
+        while frames:
+            for y in frames[-1][1]:
+                if not visited[y]:
+                    break
+            else:
+                frames.pop()
+                if via:
+                    via.pop()
                 continue
             visited[y] = True
-            if match_y[y] == -1 or augment(match_y[y], visited):
-                match_x[x] = y
-                match_y[y] = x
+            via.append(y)
+            if match_y[y] == -1:
+                for (x, _), y in zip(frames, via):
+                    match_x[x] = y
+                    match_y[y] = x
                 return True
+            frames.append((match_y[y], _bits(adj[match_y[y]])))
         return False
 
     matched = 0
     for x in range(n):
-        if augment(x, [False] * n):
+        if augment(x):
             matched += 1
     if matched == n:
         return PerfectMatching(tuple((x, match_x[x]) for x in range(n)))

@@ -1,5 +1,9 @@
 """Exact certifiers: k-trees, component-count violators, matchings."""
 
+import hashlib
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -83,6 +87,67 @@ def test_k_tree_monotone_in_k():
         assert find_k_tree(g, g.n - 1) is not None
 
 
+def test_k_tree_certificates_unchanged_on_corpus():
+    # pins the search order: any change to which edges the DFS tries, or in
+    # what order, changes some certificate on the connected n <= 7 corpus
+    rows = []
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            for k in (2, 3, 4):
+                cert = find_k_tree(g, k)
+                rows.append(None if cert is None else certificate_to_json(cert))
+    assert len(rows) == 2985
+    assert sum(r is not None for r in rows) == 2819
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "162e5734e5affdea13a0ea8e4d9ee4d527a891e096297c30774346c567d5037f"
+
+
+def _min_spanning_tree_max_degree(g):
+    """Smallest maximum degree over all spanning trees, by edge subsets."""
+    best = None
+    for sub in combinations(g.edges(), g.n - 1):
+        parent = list(range(g.n))
+        deg = [0] * g.n
+        for u, v in sub:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break
+            parent[v] = u
+        else:
+            for u, v in sub:
+                deg[u] += 1
+                deg[v] += 1
+            if best is None or max(deg) < best:
+                best = max(deg)
+    return best
+
+
+def test_k_tree_existence_matches_brute_force():
+    pairs = 0
+    for n in range(3, 7):
+        for g in connected_graphs(n):
+            best = _min_spanning_tree_max_degree(g)
+            for k in range(2, n):
+                cert = find_k_tree(g, k)
+                assert (cert is not None) == (best <= k), (g, k)
+                if cert is not None:
+                    assert is_valid_ktree(g, k, cert)
+                pairs += 1
+    assert pairs == 525
+
+
+def test_k_tree_on_large_dense_graphs():
+    g = complete_graph(200)
+    assert is_valid_ktree(g, 2, find_k_tree(g, 2))
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((200, 200)) < 0.9, 1)
+    g = Graph(200, upper | upper.T)
+    assert is_valid_ktree(g, 3, find_k_tree(g, 3))
+
+
 def test_win_violator_on_extremal_graph():
     for n, k in [(8, 3), (12, 4)]:
         g = ktree_extremal(n, k)
@@ -146,6 +211,45 @@ def test_hall_violator_on_matching_extremal():
         assert isinstance(result, HallViolator)
         assert len(result.vertices) > len(b.neighborhood(result.vertices))
         assert count_perfect_matchings_brute(b) == 0
+
+
+def test_perfect_matching_long_augmenting_paths():
+    # x is adjacent to y = x-1 and y = x, so augmenting from x walks the whole
+    # chain below it before it reaches the free y = x
+    n = 1500
+    b = BipartiteGraph(n, n, np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool))
+    assert perfect_matching(b) == PerfectMatching(tuple((x, x) for x in range(n)))
+
+
+def _recursive_matching(b):
+    """Augmenting paths by plain recursion, Y vertices in ascending order."""
+    match_x, match_y = [-1] * b.nx, [-1] * b.nx
+
+    def augment(x, visited):
+        for y in range(b.nx):
+            if b.biadj[x, y] and not visited[y]:
+                visited[y] = True
+                if match_y[y] == -1 or augment(match_y[y], visited):
+                    match_x[x], match_y[y] = y, x
+                    return True
+        return False
+
+    for x in range(b.nx):
+        augment(x, [False] * b.nx)
+    return match_x
+
+
+def test_perfect_matching_keeps_ascending_augmenting_order():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        b = BipartiteGraph(n, n, rng.random((n, n)) < rng.random())
+        result = perfect_matching(b)
+        expected = _recursive_matching(b)
+        if isinstance(result, PerfectMatching):
+            assert result.pairs == tuple(enumerate(expected))
+        else:
+            assert -1 in expected
 
 
 def test_matching_requires_balanced():
