@@ -108,7 +108,6 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         g.edges(),
         key=lambda e: (min(degs[e[0]], degs[e[1]]), max(degs[e[0]], degs[e[1]]), e))
     m = len(edges)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * m + 200))
 
     parent = list(range(n))
     size = [1] * n
@@ -200,9 +199,13 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         und[v] |= 1 << u
         return False
 
-    if search(0):
-        return KTreeCertificate(tuple(sorted(chosen)))
-    return None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * m + 200))
+    try:
+        found = search(0)
+    finally:
+        sys.setrecursionlimit(limit)
+    return KTreeCertificate(tuple(sorted(chosen))) if found else None
 
 
 def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:

@@ -115,10 +115,17 @@ def _add_common(parser: _Parser) -> None:
                         help="seed for randomized streams")
 
 
+def _stdin_lines() -> list[str]:
+    """Non-blank stdin lines; undecodable bytes stay as surrogates, which
+    graph6 parsing reports with their offset, whatever the locale."""
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
+    return [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
+
+
 def _read_graphs(source: str) -> list[Graph]:
     if source == "-":
-        lines = [line.strip() for line in sys.stdin.read().splitlines()]
-        return [from_graph6(line) for line in lines if line]
+        return [from_graph6(line) for line in _stdin_lines()]
     return [from_graph6(source.strip())]
 
 
@@ -209,7 +216,11 @@ def _cmd_gen_family(args) -> int:
     if args.family == "ktree":
         graphs = [ktree_extremal(args.n, args.k)]
     elif args.family == "win":
-        parts = tuple(int(p) for p in args.parts.split(","))
+        try:
+            parts = tuple(int(p) for p in args.parts.split(","))
+        except ValueError:
+            raise GraphInputError(
+                f"--parts must be comma-separated integers, got {args.parts!r}") from None
         graphs = [win_family(args.s, parts)]
     else:
         graphs = [matching_extremal(args.n, args.s).to_graph()]
@@ -264,8 +275,8 @@ def _cmd_quotient(args) -> int:
 def _stream_for(args) -> list[str]:
     if args.stream:
         if args.stream == "-":
-            return [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
-        with open(args.stream) as handle:
+            return _stdin_lines()
+        with open(args.stream, errors="surrogateescape") as handle:
             return [ln.strip() for ln in handle if ln.strip()]
     return connected_corpus_stream(args.min_n, args.max_n)
 

@@ -9,8 +9,11 @@ class Graph6ParseError(GraphInputError):
     """Malformed graph6 input.  Carries the byte offset of the defect."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)  # args as given, so it pickles
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 class DomainError(GraphInputError):
@@ -30,8 +33,11 @@ class ConvergenceError(RuntimeError):
     """
 
     def __init__(self, message: str, radius: float, residual: float, iterations: int):
-        super().__init__(message)
+        super().__init__(message, radius, residual, iterations)  # so it pickles
         self.radius = radius
         self.residual = residual
         self.iterations = iterations
+
+    def __str__(self) -> str:
+        return self.args[0]
 

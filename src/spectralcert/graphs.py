@@ -411,7 +411,10 @@ def to_graph6(g: Graph) -> bytes:
 def from_graph6(text: bytes | str) -> Graph:
     """Decode one graph6 line (optionally prefixed with '>>graph6<<')."""
     if isinstance(text, str):
-        data = text.encode("ascii", errors="strict")
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError("non-ASCII character", exc.start) from None
     else:
         data = bytes(text)
     data = data.rstrip(b"\r\n")

@@ -54,7 +54,7 @@ from .graphs import (
     star_graph,
     to_graph6,
 )
-from .smallgraphs import are_isomorphic, connected_graphs
+from .smallgraphs import canonical_form, connected_graphs
 from .spectral import DEFAULT_TOL, a_matrix, das_bound, hong_bound, spectral_radius
 
 DEFAULT_MARGIN = 1e-8
@@ -171,7 +171,7 @@ def as_graph6_lines(stream: Iterable[Graph | str | bytes]) -> list[str]:
             lines.append(to_graph6(item).decode("ascii"))
             continue
         if isinstance(item, bytes):
-            item = item.decode("ascii")
+            item = item.decode("ascii", errors="surrogateescape")
         item = item.strip()
         if item:
             lines.append(item)
@@ -250,26 +250,18 @@ def _random_bits(rng: np.random.Generator, nbits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hamilton_exceptions(variant: str, n: int) -> tuple[Graph, ...]:
-    if variant == "rho":
-        graphs = [ktree_extremal(n, 2)] if n >= 4 else []
-        if n == 6:
-            graphs.append(join(complete_graph(2), empty_graph(4)))
-            graphs.append(join(complete_graph(1),
-                               disjoint_union([star_graph(3), complete_graph(1)])))
-        return tuple(graphs)
-    if variant == "q":
-        graphs = []
-        if n == 4:
-            graphs.append(star_graph(3))
-        if n == 5:
-            graphs.append(join(complete_graph(1),
-                               disjoint_union([complete_graph(2), empty_graph(2)])))
-            graphs.append(star_graph(4))
-        if n == 6:
-            graphs.append(join(complete_graph(2), empty_graph(4)))
-        return tuple(graphs)
-    raise GraphInputError(f"unknown variant {variant!r}")
+def _hamilton_exceptions(variant: str, n: int) -> frozenset[tuple[int, int]]:
+    """The variant's exceptional graphs of order n, as a set of canonical forms."""
+    k2_e4 = join(complete_graph(2), empty_graph(4))
+    graphs = {("rho", 6): [k2_e4, join(complete_graph(1),
+                                       disjoint_union([star_graph(3), complete_graph(1)]))],
+              ("q", 4): [star_graph(3)],
+              ("q", 5): [star_graph(4), join(complete_graph(1),
+                                             disjoint_union([complete_graph(2), empty_graph(2)]))],
+              ("q", 6): [k2_e4]}.get((variant, n), [])
+    if variant == "rho" and n >= 4:
+        graphs.append(ktree_extremal(n, 2))
+    return frozenset(map(canonical_form, graphs))
 
 
 def _hamilton_item(params: tuple, line: str) -> dict:
@@ -290,8 +282,11 @@ def _hamilton_item(params: tuple, line: str) -> dict:
         return found, ("ktree" if found else None)
 
     def is_exceptional():
-        return any(g.n == e.n and are_isomorphic(g, e)
-                   for e in _hamilton_exceptions(variant, g.n))
+        # a code has one bit per edge: screening on the edge count keeps the
+        # canonical search off large symmetric graphs that cannot match
+        forms = _hamilton_exceptions(variant, g.n)
+        return (any(code.bit_count() == g.m for _, code in forms)
+                and canonical_form(g) in forms)
 
     row["verdict"], row["certificate_type"] = _classify(
         value, threshold, margin, run_certifier, is_exceptional)
@@ -425,6 +420,8 @@ def verify_matching_condition(n: int, delta: int, a: float = 0.0,
     which is valid once n clears its cubic guard in delta (smaller n are all
     vacuous).
     """
+    if n < 1:
+        raise GraphInputError(f"part size must be positive, got {n}")
     if delta < 1:
         raise GraphInputError(f"minimum degree must be at least 1, got {delta}")
     if variant not in ("family", "sqrt"):

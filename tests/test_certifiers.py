@@ -148,6 +148,19 @@ def test_k_tree_on_large_dense_graphs():
     assert is_valid_ktree(g, 3, find_k_tree(g, 3))
 
 
+def test_k_tree_restores_recursion_limit():
+    import sys
+
+    # start from the default, so an earlier search cannot hide a leak
+    outer = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert find_k_tree(complete_graph(200), 2) is not None
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(outer)
+
+
 def test_win_violator_on_extremal_graph():
     for n, k in [(8, 3), (12, 4)]:
         g = ktree_extremal(n, k)

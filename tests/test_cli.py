@@ -281,3 +281,73 @@ def test_python_dash_m_entry_point():
          "--delta", "1"], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert "matching_family_threshold_adjacency: checked=16" in out.stdout
+
+
+def _one_error_line(err):
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_verify_stream_parse_error_same_at_any_worker_count(tmp_path, capsys):
+    stream = tmp_path / "bad.g6"
+    stream.write_text(f"{_g6(complete_graph(5))}\nCxx\n{_g6(cycle_graph(5))}\n")
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["verify", "hamilton-rho", "--stream", str(stream),
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+def test_non_ascii_graph6_argument_one_line(capsys):
+    assert main(["spectral", "Cé"]) == 1
+    err = capsys.readouterr().err
+    _one_error_line(err)
+    assert "non-ASCII character (byte offset 1)" in err
+
+
+def test_non_ascii_graph6_on_stdin_one_line():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # strict decoding stands for a locale whose stdin is not surrogateescape
+    for encoding in (None, "utf-8:strict"):
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        out = subprocess.run(
+            [sys.executable, "-m", "spectralcert.cli", "spectral", "-"],
+            input=b"C~\n\xff\n", env=env, capture_output=True, timeout=120)
+        assert out.returncode == 1
+        _one_error_line(out.stderr.decode())
+
+
+def test_non_utf8_stream_file_one_line(tmp_path, capsys):
+    stream = tmp_path / "latin1.g6"
+    stream.write_bytes(b"C~\nC\xe9\n")
+    for workers in ("1", "2"):
+        assert main(["verify", "hamilton-rho", "--stream", str(stream),
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert "non-ASCII character (byte offset 1)" in err
+
+
+def test_gen_family_win_bad_parts_one_line(capsys):
+    for parts in ("a", "2,,1"):
+        assert main(["gen-family", "win", "--s", "1", "--parts", parts]) == 1
+        _one_error_line(capsys.readouterr().err)
+
+
+def test_verify_matching_sqrt_negative_part_size_one_line(capsys):
+    assert main(["verify", "matching-sqrt", "--nx", "-2", "--count", "3"]) == 1
+    _one_error_line(capsys.readouterr().err)

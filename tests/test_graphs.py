@@ -237,6 +237,23 @@ def test_graph6_parse_errors_carry_offsets():
         from_graph6("Ao")  # nonzero padding bits for n=2
 
 
+def test_graph6_non_ascii_reports_offset():
+    for text, offset in [("Cé", 1), ("C~\udcff", 2), ("\u00e9", 0)]:
+        with pytest.raises(Graph6ParseError) as ei:
+            from_graph6(text)
+        assert ei.value.offset == offset
+        assert str(ei.value) == f"non-ASCII character (byte offset {offset})"
+
+
+def test_graph6_parse_error_pickles_intact():
+    import pickle
+
+    err = pickle.loads(pickle.dumps(Graph6ParseError("truncated extended header", 3)))
+    assert type(err) is Graph6ParseError
+    assert err.offset == 3
+    assert str(err) == "truncated extended header (byte offset 3)"
+
+
 def test_graph6_cycle_known_value():
     # C5 encodes to 'DQc' in canonical graph6 ordering; check round-trip and
     # bit layout instead of trusting memory: decode-encode must be stable.

@@ -306,3 +306,12 @@ def test_largest_eigenvalue_dense_vs_numpy():
         want = max(val.real for val in np.linalg.eigvals(m))
         got = largest_eigenvalue_dense(m)
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def test_convergence_error_pickles_intact():
+    import pickle
+
+    err = pickle.loads(pickle.dumps(ConvergenceError("no certificate", 2.5, 1e-3, 3)))
+    assert type(err) is ConvergenceError
+    assert (err.radius, err.residual, err.iterations) == (2.5, 1e-3, 3)
+    assert str(err) == "no certificate"

@@ -97,6 +97,17 @@ def test_hamilton_q_small_corpus():
     assert report.counts[EXTREMAL] >= 4
 
 
+def test_hamilton_exceptions_above_the_isomorphism_cap():
+    from spectralcert.graphs import Graph, cycle_graph, disjoint_union
+
+    # the degree-2 extremal graph at n = 14 is an exception; the complement of
+    # 4C5 (n = 20, radius exactly n - 3) is a symmetric non-exception
+    co_c5s = ~disjoint_union([cycle_graph(5)] * 4).adj
+    np.fill_diagonal(co_c5s, False)
+    report = verify_hamilton_condition([ktree_extremal(14, 2), Graph(20, co_c5s)], "rho")
+    assert [row["verdict"] for row in report.rows] == [EXTREMAL, CONFIRMED]
+
+
 def test_hamilton_exceptional_graphs_detected():
     from spectralcert.graphs import disjoint_union, empty_graph, join
 
