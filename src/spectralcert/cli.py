@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .certifiers import (
     certificate_to_json,
     find_k_tree,
@@ -39,7 +37,7 @@ from .families import (
     rho_matching_extremal,
     win_family,
 )
-from .graphs import BipartiteGraph, Graph, from_graph6, to_graph6
+from .graphs import BipartiteGraph, Graph, _bits, from_graph6, to_graph6
 from .spectral import (
     DEFAULT_TOL,
     a_matrix,
@@ -137,58 +135,50 @@ def _bipartition(g: Graph) -> BipartiteGraph:
     differences (first feasible assignment in component order wins).
     """
     n = g.n
-    color = [-1] * n
-    comps: list[tuple[list[int], list[int]]] = []
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        side_a, side_b = [start], []
-        while queue:
-            v = queue.pop(0)
-            for u in g.neighbors(v):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    (side_a if color[u] == 0 else side_b).append(u)
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    raise GraphInputError("graph is not bipartite (odd cycle found)")
-        comps.append((sorted(side_a), sorted(side_b)))
+    masks = g.neighbor_masks
+    comps: list[list[int]] = []  # per component: the two color classes, as masks
+    unseen = (1 << n) - 1
+    while unseen:
+        # breadth-first layers from the lowest unseen vertex alternate
+        # colors; an edge inside a layer closes an odd cycle
+        layer = reached = unseen & -unseen
+        sides, color = [layer, 0], 0
+        while layer:
+            ahead = 0
+            for v in _bits(layer):
+                ahead |= masks[v]
+            if ahead & layer:
+                raise GraphInputError("graph is not bipartite (odd cycle found)")
+            layer = ahead & ~reached
+            reached |= layer
+            color ^= 1
+            sides[color] |= layer
+        unseen &= ~reached
+        comps.append(sides)
     if n % 2:
         raise GraphInputError("odd order cannot form a balanced bipartite graph")
     target = n // 2
     # choose per component which color class joins X
     reachable: list[dict[int, int | None]] = [{0: None}]
-    for idx, (side_a, side_b) in enumerate(comps):
+    for idx, sides in enumerate(comps):
         nxt: dict[int, int | None] = {}
         for total in reachable[idx]:
-            for pick, size in ((0, len(side_a)), (1, len(side_b))):
-                new = total + size
+            for pick, side in enumerate(sides):
+                new = total + side.bit_count()
                 if new <= target and new not in nxt:
                     nxt[new] = pick
         reachable.append(nxt)
     if target not in reachable[-1]:
         raise GraphInputError("no balanced bipartition exists for this graph")
-    picks = []
-    total = target
+    x_side, total = 0, target
     for idx in range(len(comps) - 1, -1, -1):
-        pick = reachable[idx + 1][total]
-        picks.append(pick)
-        total -= len(comps[idx][pick])
-    picks.reverse()
-    xs: list[int] = []
-    ys: list[int] = []
-    for (side_a, side_b), pick in zip(comps, picks):
-        xs.extend(side_a if pick == 0 else side_b)
-        ys.extend(side_b if pick == 0 else side_a)
-    xs.sort()
-    ys.sort()
-    biadj = np.zeros((len(xs), len(ys)), dtype=bool)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            biadj[i, j] = g.has_edge(x, y)
-    return BipartiteGraph(len(xs), len(ys), biadj)
+        side = comps[idx][reachable[idx + 1][total]]
+        x_side |= side
+        total -= side.bit_count()
+    column = {y: j for j, y in enumerate(_bits(((1 << n) - 1) & ~x_side))}
+    return BipartiteGraph._from_masks(
+        len(column), tuple(sum(1 << column[y] for y in _bits(masks[x]))
+                           for x in _bits(x_side)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +273,7 @@ def _stream_for(args) -> list[str]:
 
 def _cmd_verify(args) -> int:
     target = args.target
+    seeded = target == "edge-deletion"
     if target in ("hamilton-rho", "hamilton-q"):
         report = verify_hamilton_condition(
             _stream_for(args), "rho" if target == "hamilton-rho" else "q",
@@ -294,7 +285,7 @@ def _cmd_verify(args) -> int:
             n = args.n if args.n else 2 * args.k + 16
             lines = [to_graph6(ktree_extremal(n, args.k)).decode()]
             lines += random_connected_stream(n, args.count, args.p, args.seed)
-            print(f"seed={args.seed}")
+            seeded = True
         report = verify_ktree_condition(lines, args.k, args.a, tol=args.tol,
                                         margin=args.margin, workers=args.workers)
     elif target in ("matching", "matching-sqrt"):
@@ -302,8 +293,7 @@ def _cmd_verify(args) -> int:
             sample = args.count or 10000
         else:
             sample = args.count or None
-        if sample is not None:
-            print(f"seed={args.seed}")
+        seeded = sample is not None
         report = verify_matching_condition(
             args.nx, args.delta, args.a,
             "family" if target == "matching" else "sqrt",
@@ -315,11 +305,12 @@ def _cmd_verify(args) -> int:
     elif target == "matching-monotone":
         report = verify_matching_family_monotonicity(args.max_n, tol=args.tol)
     elif target == "edge-deletion":
-        print(f"seed={args.seed}")
         report = verify_edge_deletion_bound(args.nx, args.delta, margin=args.margin,
                                             tol=args.tol, seed=args.seed)
     else:
         report = verify_bounds(_stream_for(args), tol=args.tol, workers=args.workers)
+    if seeded:
+        print(f"seed={args.seed}")
     print(report.summary())
     if args.report:
         with open(args.report, "w") as handle:

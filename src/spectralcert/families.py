@@ -233,7 +233,7 @@ def is_ktree_extremal(g: Graph, n: int, k: int) -> bool:
     full = (1 << n) - 1
     want = sorted([1] * k + [clique_size])
     for center in range(n):
-        if g.degrees[center] != n - 1:
+        if masks[center].bit_count() != n - 1:
             continue
         comps = _components(masks, full & ~(1 << center))
         if sorted(c.bit_count() for c in comps) == want:
@@ -253,16 +253,13 @@ def is_matching_extremal(b: BipartiteGraph, n: int, delta: int) -> bool:
         return False
     if b.nx != n or b.ny != n:
         return False
-    biadj = np.asarray(b.biadj)
-    return (_matching_extremal_structure(biadj, n, delta)
-            or _matching_extremal_structure(biadj.T, n, delta))
+    return (_matching_extremal_structure(b.x_masks, n, delta)
+            or _matching_extremal_structure(b.transpose().x_masks, n, delta))
 
 
-def _matching_extremal_structure(biadj: np.ndarray, n: int, s: int) -> bool:
+def _matching_extremal_structure(rows: tuple[int, ...], n: int, s: int) -> bool:
     # s+1 identical rows of degree s (X1 over Y1) and n-s-1 complete rows
     # (X2) fix every entry, so the columns outside Y1 see exactly X2
-    x_degs = biadj.sum(axis=1)
-    x1 = np.flatnonzero(x_degs == s)
-    if len(x1) != s + 1 or np.count_nonzero(x_degs == n) != n - s - 1:
-        return False
-    return bool((biadj[x1] == biadj[x1[0]]).all())
+    degs = [r.bit_count() for r in rows]
+    x1 = {r for r, d in zip(rows, degs) if d == s}
+    return degs.count(s) == s + 1 and len(x1) == 1 and degs.count(n) == n - s - 1

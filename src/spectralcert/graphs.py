@@ -1,10 +1,11 @@
 """Graph and bipartite-graph primitives.
 
-Vertices are 0-indexed integers.  ``Graph`` stores a symmetric irreflexive
-boolean adjacency matrix; ``BipartiteGraph`` stores a biadjacency relation
-between an X part and a Y part.  Both are immutable after construction, so
-instances can be shared freely across workers.  All operations here are pure
-functions returning new objects.
+Vertices are 0-indexed integers.  ``Graph`` stores one neighborhood bitmask
+per vertex; ``BipartiteGraph`` stores one bitmask over Y per X vertex, and
+|Y|.  Orders, degrees, edges and equality derive from the masks; the boolean
+matrices ``adj`` and ``biadj`` are built, read-only, on each access.  Both
+are immutable, so instances can be shared freely across workers.  All
+operations here are pure functions returning new objects.
 
 The only interchange format is graph6 (6-bit big-endian packing of the upper
 triangle in column order, header byte n+63 for n <= 62, '~'-prefixed 18-bit
@@ -13,7 +14,6 @@ header beyond).
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,8 +27,31 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
+def _mask_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    """The inverse of ``_row_masks``: a read-only boolean matrix of `width`
+    columns whose row i holds the bits of masks[i]."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), nbytes)
+    rows = np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
+    rows.flags.writeable = False
+    return rows
+
+
+def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """Column j of the bit matrix with rows `masks`, as a mask over the rows."""
+    cols = [0] * width
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1, stored as
+    ``neighbor_masks``; ``Graph(n, adj)`` validates and packs a matrix."""
+
+    __slots__ = ("_masks",)
 
     def __init__(self, n: int, adj: np.ndarray):
         if n < 1:
@@ -40,162 +63,175 @@ class Graph:
             raise GraphInputError("self-loops are not allowed")
         if not np.array_equal(adj, adj.T):
             raise GraphInputError("adjacency relation must be symmetric")
-        adj = adj.copy()
-        adj.flags.writeable = False
-        self._n = n
-        self._adj = adj
+        self._masks = _row_masks(adj)
+
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """Wrap neighbor masks that are already symmetric and loop-free."""
+        if not masks:
+            raise GraphInputError("vertex count must be positive")
+        g = object.__new__(cls)
+        g._masks = masks
+        return g
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._masks)
+
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighborhoods as integer bitmasks (bit u set iff u ~ v)."""
+        return self._masks
 
     @property
     def adj(self) -> np.ndarray:
-        return self._adj
+        """The adjacency matrix, built on each access and read-only."""
+        return _mask_rows(self._masks, len(self._masks))
 
-    @cached_property
+    @property
     def m(self) -> int:
-        return int(self._adj.sum()) // 2
+        return sum(mask.bit_count() for mask in self._masks) // 2
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._adj.sum(axis=1))
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighborhoods as integer bitmasks (bit u set iff u ~ v)."""
-        return _row_masks(self._adj)
+        return tuple(mask.bit_count() for mask in self._masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return tuple(int(u) for u in np.flatnonzero(self._adj[v]))
+        return tuple(_bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self.degrees[v]
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self._adj[u, v])
+        return bool(self._masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        iu, iv = np.nonzero(np.triu(self._adj))
-        return [(int(a), int(b)) for a, b in zip(iu, iv)]
+        return [(u, v) for u, mask in enumerate(self._masks)
+                for v in _bits(mask >> u + 1 << u + 1)]
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise GraphInputError(f"edge ({u}, {v}) not present")
-        adj = self._adj.copy()
-        adj[u, v] = adj[v, u] = False
-        return Graph(self._n, adj)
+        masks = list(self._masks)
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        return Graph._from_masks(tuple(masks))
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise GraphInputError(f"vertex {v} out of range 0..{self._n - 1}")
+        if not 0 <= v < len(self._masks):
+            raise GraphInputError(f"vertex {v} out of range 0..{len(self._masks) - 1}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and np.array_equal(self._adj, other._adj)
+        return self._masks == other._masks
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, m={self.m})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 class BipartiteGraph:
     """Immutable bipartite graph with explicit parts X (rows) and Y (columns).
 
-    ``join_split`` optionally records the (|X1|, |Y1|) boundary left behind by
-    :func:`bipartite_join`, so family recognizers can locate the construction
-    blocks without a general isomorphism search.
+    Stored as ``x_masks`` (each X vertex's neighbors, over the Y indices) and
+    ``ny``; ``BipartiteGraph(nx, ny, biadj)`` packs a matrix.  ``join_split``
+    optionally records the (|X1|, |Y1|) boundary left behind by
+    :func:`bipartite_join`, so family recognizers can locate the
+    construction blocks without a general isomorphism search.
     """
+
+    __slots__ = ("_ny", "_x_masks", "_join_split")
 
     def __init__(self, nx: int, ny: int, biadj: np.ndarray,
                  join_split: tuple[int, int] | None = None):
         if nx < 0 or ny < 0:
             raise GraphInputError("part sizes must be nonnegative")
-        biadj = np.asarray(biadj, dtype=bool).reshape(nx, ny)
-        biadj = biadj.copy()
-        biadj.flags.writeable = False
-        self._nx = nx
-        self._ny = ny
-        self._biadj = biadj
-        self._join_split = join_split
+        self._ny, self._join_split = ny, join_split
+        self._x_masks = _row_masks(np.asarray(biadj, dtype=bool).reshape(nx, ny))
+
+    @classmethod
+    def _from_masks(cls, ny: int, x_masks: tuple[int, ...],
+                    join_split: tuple[int, int] | None = None) -> "BipartiteGraph":
+        """Wrap X-row masks whose bits all lie below ny."""
+        b = object.__new__(cls)
+        b._ny, b._x_masks, b._join_split = ny, x_masks, join_split
+        return b
 
     @property
     def nx(self) -> int:
-        return self._nx
+        return len(self._x_masks)
 
     @property
     def ny(self) -> int:
         return self._ny
 
     @property
+    def x_masks(self) -> tuple[int, ...]:
+        """Neighborhoods of X vertices as bitmasks over Y indices."""
+        return self._x_masks
+
+    @property
     def biadj(self) -> np.ndarray:
-        return self._biadj
+        """The nx-by-ny biadjacency matrix, built on each access and read-only."""
+        return _mask_rows(self._x_masks, self._ny)
 
     @property
     def join_split(self) -> tuple[int, int] | None:
         return self._join_split
 
-    @cached_property
+    @property
     def m(self) -> int:
-        return int(self._biadj.sum())
+        return sum(mask.bit_count() for mask in self._x_masks)
 
-    @cached_property
+    @property
     def x_degrees(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._biadj.sum(axis=1))
+        return tuple(mask.bit_count() for mask in self._x_masks)
 
-    @cached_property
+    @property
     def y_degrees(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self._biadj.sum(axis=0))
-
-    @cached_property
-    def x_masks(self) -> tuple[int, ...]:
-        """Neighborhoods of X vertices as bitmasks over Y indices."""
-        return _row_masks(self._biadj)
+        return tuple(col.bit_count() for col in _transpose(self._x_masks, self._ny))
 
     def is_balanced(self) -> bool:
-        return self._nx == self._ny
+        return self.nx == self._ny
 
     def neighborhood(self, xs: Iterable[int]) -> frozenset[int]:
         """N(S) for S a subset of X, as a set of Y indices."""
         seen = 0
         for x in xs:
-            if not 0 <= x < self._nx:
+            if not 0 <= x < self.nx:
                 raise GraphInputError(f"X vertex {x} out of range")
-            seen |= self.x_masks[x]
-        return frozenset(i for i in range(self._ny) if seen >> i & 1)
+            seen |= self._x_masks[x]
+        return frozenset(_bits(seen))
 
     def delete_edge(self, x: int, y: int) -> "BipartiteGraph":
-        if not (0 <= x < self._nx and 0 <= y < self._ny) or not self._biadj[x, y]:
+        if not (0 <= x < self.nx and 0 <= y < self._ny) or not self._x_masks[x] >> y & 1:
             raise GraphInputError(f"bipartite edge ({x}, {y}) not present")
-        biadj = self._biadj.copy()
-        biadj[x, y] = False
-        return BipartiteGraph(self._nx, self._ny, biadj, self._join_split)
+        masks = list(self._x_masks)
+        masks[x] ^= 1 << y
+        return BipartiteGraph._from_masks(self._ny, tuple(masks), self._join_split)
 
     def transpose(self) -> "BipartiteGraph":
         """Swap the two parts (provenance is dropped)."""
-        return BipartiteGraph(self._ny, self._nx, self._biadj.T)
+        return BipartiteGraph._from_masks(self.nx, _transpose(self._x_masks, self._ny))
 
     def to_graph(self) -> Graph:
         """The same graph on n = nx + ny vertices: X first, then Y."""
-        n = self._nx + self._ny
-        adj = np.zeros((n, n), dtype=bool)
-        adj[: self._nx, self._nx:] = self._biadj
-        adj[self._nx:, : self._nx] = self._biadj.T
-        return Graph(n, adj)
+        nx = self.nx
+        return Graph._from_masks(tuple(mask << nx for mask in self._x_masks)
+                                 + _transpose(self._x_masks, self._ny))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return (self._nx == other._nx and self._ny == other._ny
-                and np.array_equal(self._biadj, other._biadj))
+        return self._ny == other._ny and self._x_masks == other._x_masks
 
     def __repr__(self) -> str:
-        return f"BipartiteGraph(nx={self._nx}, ny={self._ny}, m={self.m})"
+        return f"BipartiteGraph(nx={self.nx}, ny={self._ny}, m={self.m})"
 
 
 # ---------------------------------------------------------------------------
@@ -204,24 +240,23 @@ class BipartiteGraph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph with exactly the given edges (duplicates collapsed)."""
-    adj = np.zeros((n, n), dtype=bool)
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise GraphInputError(f"self-loop ({u}, {v}) is not allowed")
-        adj[u, v] = adj[v, u] = True
-    return Graph(n, adj)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_masks(tuple(masks))
 
 
 def complete_graph(n: int) -> Graph:
-    adj = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(adj, False)
-    return Graph(n, adj)
+    return Graph._from_masks(tuple(((1 << n) - 1) ^ 1 << v for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, np.zeros((n, n), dtype=bool))
+    return Graph._from_masks((0,) * n)
 
 
 def path_graph(n: int) -> Graph:
@@ -240,7 +275,9 @@ def star_graph(leaves: int) -> Graph:
 
 
 def complete_bipartite(nx: int, ny: int) -> BipartiteGraph:
-    return BipartiteGraph(nx, ny, np.ones((nx, ny), dtype=bool))
+    if nx < 0 or ny < 0:
+        raise GraphInputError("part sizes must be nonnegative")
+    return BipartiteGraph._from_masks(ny, ((1 << ny) - 1,) * nx)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -249,25 +286,21 @@ def join(g1: Graph, g2: Graph) -> Graph:
     g1's vertices come first, so constructions are deterministic.
     """
     n1, n2 = g1.n, g2.n
-    adj = np.zeros((n1 + n2, n1 + n2), dtype=bool)
-    adj[:n1, :n1] = g1.adj
-    adj[n1:, n1:] = g2.adj
-    adj[:n1, n1:] = True
-    adj[n1:, :n1] = True
-    return Graph(n1 + n2, adj)
+    to_g2 = ((1 << n2) - 1) << n1
+    return Graph._from_masks(tuple(mask | to_g2 for mask in g1.neighbor_masks)
+                             + tuple(mask << n1 | (1 << n1) - 1
+                                     for mask in g2.neighbor_masks))
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
     """Vertex-disjoint union, block-diagonal in the given order."""
     if not parts:
         raise GraphInputError("disjoint_union needs at least one part")
-    n = sum(g.n for g in parts)
-    adj = np.zeros((n, n), dtype=bool)
-    offset = 0
+    masks: list[int] = []
     for g in parts:
-        adj[offset:offset + g.n, offset:offset + g.n] = g.adj
-        offset += g.n
-    return Graph(n, adj)
+        offset = len(masks)
+        masks.extend(mask << offset for mask in g.neighbor_masks)
+    return Graph._from_masks(tuple(masks))
 
 
 def bipartite_join(b1: BipartiteGraph, b2: BipartiteGraph) -> BipartiteGraph:
@@ -277,13 +310,11 @@ def bipartite_join(b1: BipartiteGraph, b2: BipartiteGraph) -> BipartiteGraph:
     boundary is recorded on the result.  If X2 or Y1 is empty no cross edges
     exist and the result is the plain union.
     """
-    nx = b1.nx + b2.nx
-    ny = b1.ny + b2.ny
-    biadj = np.zeros((nx, ny), dtype=bool)
-    biadj[: b1.nx, : b1.ny] = b1.biadj
-    biadj[b1.nx:, b1.ny:] = b2.biadj
-    biadj[b1.nx:, : b1.ny] = True  # X2 x Y1
-    return BipartiteGraph(nx, ny, biadj, join_split=(b1.nx, b1.ny))
+    y1 = b1.ny
+    return BipartiteGraph._from_masks(
+        y1 + b2.ny,
+        b1.x_masks + tuple(mask << y1 | (1 << y1) - 1 for mask in b2.x_masks),  # X2 x Y1
+        join_split=(b1.nx, y1))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +374,7 @@ def components_after_removal(g: Graph, removed: Iterable[int]) -> int:
 
 def min_degree(g: Graph | BipartiteGraph) -> int:
     if isinstance(g, BipartiteGraph):
-        degs = g.x_degrees + g.y_degrees
-        return min(degs) if degs else 0
+        return min(g.x_degrees + g.y_degrees, default=0)
     return min(g.degrees)
 
 
@@ -359,19 +389,20 @@ def rotate_edges(g: Graph, u: int, v: int, targets: Iterable[int]) -> Graph:
     if u == v:
         raise GraphInputError("rotation endpoints must differ")
     tset = sorted(set(targets))
-    adj = g.adj.copy()
+    masks = list(g.neighbor_masks)
     for t in tset:
         g._check_vertex(t)
         if t == u:
             raise GraphInputError("target set may not contain u")
-        if not adj[v, t]:
+        if not masks[v] >> t & 1:
             raise GraphInputError(f"target {t} is not a neighbor of {v}")
-        if adj[u, t]:
+        if masks[u] >> t & 1:
             raise GraphInputError(f"target {t} is already a neighbor of {u}")
     for t in tset:
-        adj[v, t] = adj[t, v] = False
-        adj[u, t] = adj[t, u] = True
-    return Graph(g.n, adj)
+        masks[v] ^= 1 << t
+        masks[u] ^= 1 << t
+        masks[t] ^= 1 << v | 1 << u
+    return Graph._from_masks(tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +410,9 @@ def rotate_edges(g: Graph, u: int, v: int, targets: Iterable[int]) -> Graph:
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047  # 18-bit length form
+# the six payload bits of each byte value, most significant first; None
+# outside the printable graph6 range 63..126
+_G6_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else None for c in range(256)]
 
 
 def _g6_header(n: int) -> bytes:
@@ -389,23 +423,24 @@ def _g6_header(n: int) -> bytes:
     raise GraphInputError(f"graph6 encoding supports at most {_G6_MAX_LONG} vertices")
 
 
+def _g6_bits(data: bytes, start: int, what: str) -> str:
+    """The six bits of each byte of data[start:], each byte range-checked."""
+    chunks = [_G6_BITS[c] for c in data[start:]]
+    if None in chunks:
+        i = start + chunks.index(None)
+        raise Graph6ParseError(f"{what} byte {data[i]} outside graph6 range", i)
+    return "".join(chunks)
+
+
 def to_graph6(g: Graph) -> bytes:
-    """Canonical graph6 encoding (zero padding bits)."""
-    n = g.n
-    out = bytearray(_g6_header(n))
-    bits = []
-    adj = g.adj
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if adj[i, j] else 0)
-    for pos in range(0, len(bits), 6):
-        group = bits[pos:pos + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(val + 63)
-    return bytes(out)
+    """Canonical graph6 encoding (zero padding bits).  Column j of the upper
+    triangle is the low j bits of neighbor_masks[j], lowest first."""
+    masks = g.neighbor_masks
+    bits = "".join(format(masks[j] & (1 << j) - 1, f"0{j}b")[::-1]
+                   for j in range(1, len(masks)))
+    bits += "0" * (-len(bits) % 6)
+    return _g6_header(len(masks)) + bytes(int(bits[p:p + 6], 2) + 63
+                                          for p in range(0, len(bits), 6))
 
 
 def from_graph6(text: bytes | str) -> Graph:
@@ -422,26 +457,14 @@ def from_graph6(text: bytes | str) -> Graph:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
-    pos = 0
-    c0 = data[0]
-    if c0 == 126:
+    start, pos = 0, 1
+    if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6ParseError("8-byte length form is not supported", 1)
         if len(data) < 4:
             raise Graph6ParseError("truncated extended header", len(data))
-        vals = []
-        for i in (1, 2, 3):
-            c = data[i]
-            if not 63 <= c <= 126:
-                raise Graph6ParseError(f"header byte {c} outside graph6 range", i)
-            vals.append(c - 63)
-        n = vals[0] << 12 | vals[1] << 6 | vals[2]
-        pos = 4
-    else:
-        if not 63 <= c0 <= 126:
-            raise Graph6ParseError(f"header byte {c0} outside graph6 range", 0)
-        n = c0 - 63
-        pos = 1
+        start, pos = 1, 4
+    n = int(_g6_bits(data[:pos], start, "header"), 2)
     if n < 1:
         raise Graph6ParseError("graphs must have at least one vertex", 0)
     nbits = n * (n - 1) // 2
@@ -450,21 +473,11 @@ def from_graph6(text: bytes | str) -> Graph:
     if len(body) != nbytes:
         raise Graph6ParseError(
             f"expected {nbytes} payload bytes for n={n}, got {len(body)}", pos + min(len(body), nbytes))
-    bits = []
-    for i, c in enumerate(body):
-        if not 63 <= c <= 126:
-            raise Graph6ParseError(f"payload byte {c} outside graph6 range", pos + i)
-        val = c - 63
-        for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
-    for i in range(nbits, len(bits)):
-        if bits[i]:
-            raise Graph6ParseError("nonzero padding bits", pos + i // 6)
-    adj = np.zeros((n, n), dtype=bool)
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i, j] = adj[j, i] = True
-            idx += 1
-    return Graph(n, adj)
+    bits = _g6_bits(data, pos, "payload")
+    if "1" in bits[nbits:]:
+        raise Graph6ParseError("nonzero padding bits", pos + bits.index("1", nbits) // 6)
+    # cols[j][i] is the bit of edge ij for i < j, and "0" for i >= j: vertex
+    # i's neighbors below it are its column, those above it its row
+    cols = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    return Graph._from_masks(tuple(int(col[::-1], 2) | int("".join(row)[::-1], 2)
+                                   for col, row in zip(cols, zip(*cols))))

@@ -122,8 +122,7 @@ def connected_graphs(n: int) -> list[Graph]:
     if n > CORPUS_CAP:
         raise CapacityError(f"exhaustive corpus generation is capped at {CORPUS_CAP} vertices")
     if n not in _corpus:
-        _corpus[n] = [Graph(n, [[m >> u & 1 for u in range(n)] for m in masks])
-                      for masks in _connected_masks(n)]
+        _corpus[n] = [Graph._from_masks(masks) for masks in _connected_masks(n)]
     return list(_corpus[n])
 
 

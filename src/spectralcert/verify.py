@@ -213,12 +213,8 @@ def random_connected_stream(n: int, count: int, p: float, seed: int) -> list[str
 
 def bipartite_from_bits(n: int, bits: int) -> BipartiteGraph:
     """Biadjacency on n+n vertices from an n*n-bit integer, row-major."""
-    biadj = np.zeros((n, n), dtype=bool)
-    for x in range(n):
-        for y in range(n):
-            if bits >> (x * n + y) & 1:
-                biadj[x, y] = True
-    return BipartiteGraph(n, n, biadj)
+    full = (1 << n) - 1
+    return BipartiteGraph._from_masks(n, tuple(bits >> x * n & full for x in range(n)))
 
 
 def bipartite_bit_stream(n: int, sample_count: int | None, seed: int) -> list[int]:
@@ -380,7 +376,7 @@ def _matching_item(params: tuple, bits: int) -> dict:
     row = {"graph6": to_graph6(g).decode("ascii"), "bits": bits, "n": g.n,
            "m": g.m, "value": None, "threshold": None, "verdict": VACUOUS,
            "certificate_type": None}
-    if threshold is None or min_degree(b) != delta:
+    if threshold is None or min_degree(g) != delta:
         return row
     value = spectral_radius(a_matrix(g, a), tol).radius
     row["value"] = value

@@ -351,3 +351,13 @@ def test_gen_family_win_bad_parts_one_line(capsys):
 def test_verify_matching_sqrt_negative_part_size_one_line(capsys):
     assert main(["verify", "matching-sqrt", "--nx", "-2", "--count", "3"]) == 1
     _one_error_line(capsys.readouterr().err)
+
+
+def test_verify_rejected_arguments_print_no_seed(capsys):
+    for argv in (["verify", "matching-sqrt", "--nx", "-2", "--count", "3"],
+                 ["verify", "edge-deletion", "--nx", "6", "--delta", "0"],
+                 ["verify", "ktree", "--k", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _one_error_line(captured.err)

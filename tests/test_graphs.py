@@ -271,3 +271,25 @@ def _random_graph(n, rng):
 
 def _random_bipartite(nx, ny, rng):
     return BipartiteGraph(nx, ny, rng.random((nx, ny)) < 0.5)
+
+
+def test_graph6_bytes_are_pinned():
+    # pinned bytes, so a bit-order slip made in both the encoder and the
+    # decoder cannot pass as a round trip
+    import hashlib
+
+    rng = np.random.default_rng(2024)
+    pinned = {
+        63: ("cfbdd07658bcbf70ac0166dfc6bfa13f5826c9c7d39d39f6ed3ca723cb9740f6", 330, 971),
+        500: ("dc996553cddf687bfbfc0e2734c3c5f4f9b2eff1af1861d16fb8950880adc36b",
+              20796, 62314),
+    }
+    for n, (digest, size, m) in pinned.items():
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        g = Graph(n, upper | upper.T)
+        enc = to_graph6(g)
+        assert (hashlib.sha256(enc).hexdigest(), len(enc), g.m) == (digest, size, m)
+        assert from_graph6(enc) == g
+        assert enc[0] == 126
+        assert (enc[1] - 63) << 12 | (enc[2] - 63) << 6 | (enc[3] - 63) == n
+    assert enc[:4] == b"~?Fs"
