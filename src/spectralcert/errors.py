@@ -29,14 +29,17 @@ class ConvergenceError(RuntimeError):
 
     Raised when the residual certificate still fails after the allowed
     inverse-iteration solves, or when a solve breaks down.  Carries the
-    eigenvalue, the last residual and the number of solves.
+    eigenvalue, the last residual, the number of solves and the index of
+    the failing member in the solved stack.
     """
 
-    def __init__(self, message: str, radius: float, residual: float, iterations: int):
-        super().__init__(message, radius, residual, iterations)  # so it pickles
+    def __init__(self, message: str, radius: float, residual: float, iterations: int,
+                 member: int = 0):
+        super().__init__(message, radius, residual, iterations, member)  # so it pickles
         self.radius = radius
         self.residual = residual
         self.iterations = iterations
+        self.member = member
 
     def __str__(self) -> str:
         return self.args[0]

@@ -1,12 +1,19 @@
 """Matrix construction and certified largest-eigenvalue computation.
 
 The matrix family here is a*D(G) + A(G) for a weight a >= 0: a = 0 gives the
-adjacency matrix, a = 1 the signless Laplacian.  Each connected block of the
-support pattern is solved on its own: LAPACK `eigvalsh` gives its largest
-eigenvalue r, and inverse iteration (a linear solve shifted just above r)
-its Perron vector x, certified when the max-norm residual ||M x - r x|| is
-at most tol * max(1, r).  The maximum over the blocks is returned, with the
-winning Perron vector zero-padded.
+adjacency matrix, a = 1 the signless Laplacian.  ``a_matrix`` builds one
+matrix, or the (B, n, n) stack of a sequence of graphs of one order.
+
+``spectral_radius`` takes one matrix or such a stack; one matrix is solved
+as a stack of one.  Each connected block of a member's support pattern is
+solved on its own, and the blocks of one order across the stack are solved
+together: one LAPACK `eigvalsh` gives each block's largest eigenvalue r,
+and inverse iteration (one batched linear solve shifted just above r) its
+Perron vector x, certified when the max-norm residual ||M x - r x|| is at
+most tol * max(1, r); only the blocks still above that bound are solved
+again.  Each member gets the maximum over its blocks, with the winning
+Perron vector zero-padded, and the same bits as if it were solved alone.
+``iterations`` counts the linear solves over every block of every member.
 
 Also provides the classical edge-count bounds on the two spectral radii,
 quotient matrices of vertex partitions, and the largest real eigenvalue of
@@ -23,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GraphInputError
-from .graphs import Graph, _bits, _components, _row_masks
+from .graphs import Graph, _bits, _components, _mask_rows, _row_masks
 
 DEFAULT_TOL = 1e-10
 
@@ -33,12 +40,16 @@ MAX_SOLVES = 3
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Certified largest eigenvalue of a nonnegative symmetric matrix."""
+    """Certified largest eigenvalue of a nonnegative symmetric matrix.
 
-    radius: float
+    For a stack of B matrices, ``radius`` and ``residual`` are arrays of
+    shape (B,) and ``vector`` has shape (B, n).
+    """
+
+    radius: float | np.ndarray
     vector: np.ndarray
-    residual: float
-    iterations: int  # linear solves, summed over the blocks
+    residual: float | np.ndarray
+    iterations: int  # linear solves, summed over the blocks of every member
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -53,91 +64,169 @@ def signless_laplacian(g: Graph) -> np.ndarray:
     return degree_matrix(g) + adjacency(g)
 
 
-def a_matrix(g: Graph, a: float) -> np.ndarray:
-    """a*D(G) + A(G); a=0 is the adjacency matrix, a=1 the signless Laplacian."""
+def a_matrix(g: Graph | Sequence[Graph], a: float) -> np.ndarray:
+    """a*D(G) + A(G); a=0 is the adjacency matrix, a=1 the signless Laplacian.
+
+    Given a sequence of graphs of one order n, returns their (B, n, n) stack.
+    """
     if a < 0:
         raise GraphInputError(f"diagonal weight must be nonnegative, got {a}")
-    return a * degree_matrix(g) + adjacency(g)
+    graphs = [g] if isinstance(g, Graph) else list(g)
+    if not graphs:
+        raise GraphInputError("a matrix stack needs at least one graph")
+    n = graphs[0].n
+    if any(h.n != n for h in graphs):
+        raise GraphInputError(
+            f"graphs in a stack must have one order, got {sorted({h.n for h in graphs})}")
+    masks = [mask for h in graphs for mask in h.neighbor_masks]
+    stack = _mask_rows(masks, n).reshape(len(graphs), n, n).astype(float)
+    degrees = np.array([mask.bit_count() for mask in masks], dtype=float)
+    stack.reshape(len(graphs), n * n)[:, ::n + 1] += a * degrees.reshape(len(graphs), n)
+    return stack[0] if isinstance(g, Graph) else stack
 
 
 def _validate_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """m as a float array: one square matrix, or a stack of them."""
+    try:
+        m = np.asarray(m, dtype=float)
+    except ValueError:
+        raise GraphInputError("expected a square matrix or a stack of "
+                              "square matrices of one order") from None
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise GraphInputError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[-1] == 0:
+        raise GraphInputError("matrix order must be positive")
     if not np.isfinite(m).all():
         raise GraphInputError("matrix entries must be finite")
     if (m < 0).any():
         raise GraphInputError("matrix entries must be nonnegative")
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.swapaxes(-1, -2)):
         raise GraphInputError("matrix must be symmetric")
     return m
 
 
-def _support_components(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected blocks of the off-diagonal support."""
-    n = m.shape[0]
-    support = m != 0
-    np.fill_diagonal(support, False)
-    comps = _components(_row_masks(support), (1 << n) - 1)
-    return [np.array(list(_bits(c))) for c in comps]
+def _perron_pairs(blocks: np.ndarray, tol: float):
+    """Eigensolve a (B, k, k) stack of irreducible blocks.
 
-
-def _perron_pair(m: np.ndarray, tol: float):
-    """Eigensolve one irreducible block.  Returns (radius, x, residual, solves).
-
-    For mu above the radius, (mu I - m)^-1 is entrywise positive (Perron-
-    Frobenius), so inverse iteration from the all-ones vector yields the
-    positive Perron vector with no sign fixing.
+    Returns (radius, x, residual, bound, solves), one entry per member; a
+    member failed when its residual is not within its bound.  For mu above
+    the radius, (mu I - m)^-1 is entrywise positive (Perron-Frobenius), so
+    inverse iteration from the all-ones vector yields the positive Perron
+    vector with no sign fixing.  Each solve covers only the members not yet
+    within their bound.  Every member gets the bits it would get alone:
+    LAPACK and matmul work member by member, and the norm is a per-row dot
+    (``np.linalg.norm(axis=1)`` rounds differently on some rows).
     """
-    radius = float(np.linalg.eigvalsh(m)[-1])
-    bound = tol * max(1.0, radius)
-    shifted = (radius + 1e-12 * max(1.0, radius)) * np.eye(m.shape[0]) - m
-    x, residual = np.ones(m.shape[0]), math.inf
-    for solves in range(1, MAX_SOLVES + 1):
+    count, k = blocks.shape[:2]
+    radius = np.linalg.eigvalsh(blocks)[:, -1]
+    scale = np.maximum(1.0, radius)
+    bound = tol * scale
+    shifted = (radius + 1e-12 * scale)[:, None, None] * np.eye(k)
+    shifted -= blocks
+    x = np.ones((count, k, 1))  # column vectors, as solve and matmul take them
+    residual = np.full(count, math.inf)
+    solves = np.zeros(count, dtype=int)
+    live = np.arange(count)
+    for _ in range(MAX_SOLVES):
+        at = slice(None) if live.size == count else live  # a view while all are live
+        solves[at] += 1
         try:
-            x = np.linalg.solve(shifted, x)
+            y = np.linalg.solve(shifted[at], x[at])
         except np.linalg.LinAlgError:
+            # shifted never changes, so only the first solve breaks down;
+            # the singular members keep an infinite residual
+            live = at = live[[_solvable(shifted[i]) for i in live]]
+            y = np.linalg.solve(shifted[at], x[at])
+        y /= np.sqrt(np.matmul(y.swapaxes(1, 2), y))
+        x[at] = y
+        residual[at] = np.abs(np.matmul(blocks[at], y)
+                              - radius[at, None, None] * y).max(axis=(1, 2))
+        live = live[~(residual[at] <= bound[at])]
+        if not live.size:
             break
-        x /= np.linalg.norm(x)
-        residual = float(np.max(np.abs(m @ x - radius * x)))
-        if residual <= bound:
-            return radius, x, residual, solves
-    raise ConvergenceError(
-        f"no certified eigenpair after {solves} inverse-iteration solve(s) "
-        f"(residual {residual:.3e}, bound {bound:.3e})",
-        radius=radius, residual=residual, iterations=solves)
+    return radius, x[:, :, 0], residual, bound, solves
+
+
+def _solvable(m: np.ndarray) -> bool:
+    try:
+        np.linalg.solve(m, np.ones(m.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def spectral_radius(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest eigenvalue of a nonnegative symmetric matrix, with certificate.
 
-    Deterministic for fixed input.  For block-diagonal (disconnected) inputs
-    each block is solved separately; the returned unit vector is the Perron
-    vector of the first block attaining the maximum and zero elsewhere, so
-    strict positivity holds only when the support pattern is connected.
-    Raises ConvergenceError when the residual certificate cannot be met.
+    m is an (n, n) matrix or a (B, n, n) stack; a single matrix is solved as
+    a stack of one, and each member gets the bits it would get alone.  Each
+    connected block of a member's off-diagonal support is solved on its own;
+    the returned unit vector is the Perron vector of the first block
+    attaining the maximum and zero elsewhere, so strict positivity holds
+    only when the support pattern is connected.  Raises ConvergenceError for
+    the first block, in member then block order, whose residual certificate
+    cannot be met; its ``member`` is the index in the stack.
     """
     if tol <= 0:
         raise GraphInputError("tolerance must be positive")
     m = _validate_matrix(m)
-    best_radius = -math.inf
-    best_vec: np.ndarray | None = None
-    best_res = 0.0
-    total_solves = 0
-    n = m.shape[0]
-    for comp in _support_components(m):
-        block = m[np.ix_(comp, comp)]
-        radius, x, residual, solves = _perron_pair(block, tol)
-        total_solves += solves
-        if radius > best_radius:
-            best_radius = radius
-            best_res = residual
-            best_vec = np.zeros(n)
-            best_vec[comp] = x
-    assert best_vec is not None
-    best_vec.flags.writeable = False
-    return SpectralResult(radius=best_radius, vector=best_vec,
-                          residual=best_res, iterations=total_solves)
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    count = stack.shape[0]
+    support = stack != 0
+    support.reshape(count, n * n)[:, ::n + 1] = False
+    masks = _row_masks(support.reshape(count * n, n))
+    full = (1 << n) - 1
+
+    # every block as (member, place among the member's blocks, vertices),
+    # grouped by order; connected members are one block of order n
+    by_order: dict[int, list[tuple[int, int, list[int] | None]]] = {}
+    for b in range(count):
+        comps = _components(masks[b * n:(b + 1) * n], full)
+        if len(comps) == 1:
+            by_order.setdefault(n, []).append((b, 0, None))
+            continue
+        for place, comp in enumerate(comps):
+            idx = list(_bits(comp))
+            by_order.setdefault(len(idx), []).append((b, place, idx))
+
+    radius = np.full(count, -math.inf)
+    residual = np.zeros(count)
+    vector = np.zeros((count, n))
+    parts, failures, total = [], [], 0
+    for k, jobs in by_order.items():
+        owners = [b for b, _, _ in jobs]
+        if k == n:
+            at = slice(None) if len(owners) == count else owners
+            blocks = stack[at]
+        else:
+            rows = np.array([vertices for _, _, vertices in jobs])
+            blocks = stack[np.array(owners)[:, None, None], rows[:, :, None], rows[:, None, :]]
+        radii, xs, residuals, bounds, solves = _perron_pairs(blocks, tol)
+        total += int(solves.sum())
+        failures += [(*jobs[i][:2], radii[i], residuals[i], bounds[i], int(solves[i]))
+                     for i in np.flatnonzero(~(residuals <= bounds))]
+        if k == n:
+            radius[at], residual[at], vector[at] = radii, residuals, xs
+        else:
+            parts += [(b, place, idx, radii[i], residuals[i], xs[i])
+                      for i, (b, place, idx) in enumerate(jobs)]
+    if failures:
+        b, _, r, res, bound, solves = min(failures)
+        raise ConvergenceError(
+            f"no certified eigenpair after {solves} inverse-iteration solve(s) "
+            f"(residual {res:.3e}, bound {bound:.3e})",
+            radius=float(r), residual=float(res), iterations=solves, member=b)
+    for b, _, idx, r, res, x in sorted(parts, key=lambda part: part[:2]):
+        if r > radius[b]:  # the first block attaining the maximum wins
+            radius[b], residual[b] = r, res
+            vector[b] = 0.0
+            vector[b, idx] = x
+    vector.flags.writeable = False
+    if m.ndim == 2:
+        return SpectralResult(radius=float(radius[0]), vector=vector[0],
+                              residual=float(residual[0]), iterations=total)
+    return SpectralResult(radius=radius, vector=vector, residual=residual, iterations=total)
 
 
 def rho_a(g: Graph, a: float, tol: float = DEFAULT_TOL) -> float:

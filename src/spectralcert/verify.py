@@ -13,6 +13,17 @@ the margin are routed through the extremal recognizer and then the
 certifier, and are never reported as violations, since equality cases
 cannot be decided in floating point.
 
+The streamed harnesses (Hamilton paths, k-trees, matchings, edge-count
+bounds) run a contiguous chunk of their stream in three stages: each item is
+decoded and filtered on its own; the in-scope graphs are eigensolved with
+one ``spectral_radius`` call per order (and diagonal weight) on the stack
+of their matrices; then each in-scope item is classified on its own, so
+certifiers and recognizers run only where a verdict needs them.  A chunk
+that meets an error (a graph6 defect, an uncertified eigenpair) raises the
+one of the lowest stream index.  One worker runs the stream as one chunk;
+more workers split it into a few contiguous chunks each, and the rows are
+joined in stream order.
+
 Reports are deterministic: identical stream and config give byte-identical
 JSON.  Violations carry a re-checkable payload (graph6, value, threshold,
 certifier outcome).  Worker counts only change scheduling, never results.
@@ -30,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .certifiers import PerfectMatching, find_k_tree, perfect_matching
-from .errors import GraphInputError
+from .errors import ConvergenceError, GraphInputError
 from .families import (
     is_ktree_extremal,
     is_matching_extremal,
@@ -59,6 +70,9 @@ from .spectral import DEFAULT_TOL, a_matrix, das_bound, hong_bound, spectral_rad
 
 DEFAULT_MARGIN = 1e-8
 DRAWS_PER_GRAPH = 1000
+CHUNKS_PER_WORKER = 4
+# matrix entries per eigensolver stack: bounds the memory of one call
+STACK_ENTRIES = 1 << 21
 
 VACUOUS = "vacuous"
 CONFIRMED = "confirmed"
@@ -150,13 +164,69 @@ def _finalize(theorem_id: str, population: str, rows: list[dict],
 
 
 def _map_items(fn, items: Sequence, workers: int) -> list:
+    """fn maps a contiguous chunk of items to its rows; the rows of every
+    chunk, in stream order."""
     if workers <= 1:
-        return [fn(item) for item in items]
+        return fn(items)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, len(items) // (workers * 8))
+    size = max(1, -(-len(items) // (workers * CHUNKS_PER_WORKER)))
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return [row for rows in pool.map(fn, chunks) for row in rows]
+
+
+def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
+            classify: Callable, chunk: Sequence) -> list[dict]:
+    """The three stages over one chunk.
+
+    decode(item) -> (row, g, context), with g None for an item out of
+    scope; each in-scope g is eigensolved at every diagonal weight, stacked
+    by order; classify(row, g, context, radii) fills in the verdict.  When
+    a decode or an eigensolve fails, the error of the lowest stream index
+    (then lowest weight) is raised and nothing is classified.
+    """
+    rows, scoped, errors = [], [], []
+    for item in chunk:
+        try:
+            row, g, context = decode(item)
+        except GraphInputError as exc:
+            errors.append((len(rows), 0, exc))
+            break
+        if g is not None:
+            scoped.append((len(rows), g, context))
+        rows.append(row)
+
+    radii: dict[int, list[float]] = {i: [] for i, _, _ in scoped}
+    by_order: dict[int, list[tuple[int, Graph]]] = {}
+    for i, g, _ in scoped:
+        by_order.setdefault(g.n, []).append((i, g))
+    for n, members in by_order.items():
+        step = max(1, STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            for slot, a in enumerate(weights):
+                try:
+                    result = spectral_radius(a_matrix([g for _, g in part], a), tol)
+                except ConvergenceError as exc:
+                    errors.append((part[exc.member][0], slot, exc))
+                    continue
+                for (i, _), value in zip(part, result.radius.tolist()):
+                    radii[i].append(value)
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
+    for i, g, context in scoped:
+        classify(rows[i], g, context, radii[i])
+    return rows
+
+
+def _line_decode(min_n: int, line: str) -> tuple[dict, Graph | None, None]:
+    """A graph6 line's row, and its graph when connected on min_n or more
+    vertices."""
+    g = from_graph6(line)
+    row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
+           "verdict": VACUOUS, "certificate_type": None}
+    return row, (g if g.n >= min_n and is_connected(g) else None), None
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +330,11 @@ def _hamilton_exceptions(variant: str, n: int) -> frozenset[tuple[int, int]]:
     return frozenset(map(canonical_form, graphs))
 
 
-def _hamilton_item(params: tuple, line: str) -> dict:
-    variant, tol, margin = params
-    g = from_graph6(line)
-    row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
-           "verdict": VACUOUS, "certificate_type": None}
-    if g.n < 4 or not is_connected(g):
-        return row
-    a = 0.0 if variant == "rho" else 1.0
+def _hamilton_classify(params: tuple, row: dict, g: Graph, context: None,
+                       radii: list[float]) -> None:
+    variant, margin = params
+    value, = radii
     threshold = float(g.n - 3 if variant == "rho" else 2 * g.n - 5)
-    value = spectral_radius(a_matrix(g, a), tol).radius
     row["value"] = value
     row["threshold"] = threshold
 
@@ -286,7 +351,6 @@ def _hamilton_item(params: tuple, line: str) -> dict:
 
     row["verdict"], row["certificate_type"] = _classify(
         value, threshold, margin, run_certifier, is_exceptional)
-    return row
 
 
 def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
@@ -303,7 +367,10 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
     if variant not in ("rho", "q"):
         raise GraphInputError(f"variant must be 'rho' or 'q', got {variant!r}")
     lines = as_graph6_lines(stream)
-    rows = _map_items(partial(_hamilton_item, (variant, tol, margin)), lines, workers)
+    weights = (0.0,) if variant == "rho" else (1.0,)
+    rows = _map_items(partial(_staged, partial(_line_decode, 4), weights, tol,
+                              partial(_hamilton_classify, (variant, margin))),
+                      lines, workers)
     return _finalize(
         theorem_id=f"hamilton_path_{'adjacency' if variant == 'rho' else 'signless_laplacian'}",
         population=f"{len(lines)} streamed graphs",
@@ -315,15 +382,20 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 # bounded-degree spanning trees
 
 
-def _ktree_item(params: tuple, item: tuple[str, Graph]) -> dict:
-    k, a, thresholds, tol, margin = params
+def _ktree_decode(k: int, item: tuple[str, Graph]) -> tuple[dict, Graph | None, None]:
     line, g = item
     row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
            "verdict": VACUOUS, "certificate_type": None}
     if not is_connected(g) or g.n < 2 * k + 16:
-        return row
+        return row, None, None
+    return row, g, None
+
+
+def _ktree_classify(params: tuple, row: dict, g: Graph, context: None,
+                    radii: list[float]) -> None:
+    k, thresholds, margin = params
+    value, = radii
     threshold = thresholds[g.n]
-    value = spectral_radius(a_matrix(g, a), tol).radius
     row["value"] = value
     row["threshold"] = threshold
 
@@ -334,7 +406,6 @@ def _ktree_item(params: tuple, item: tuple[str, Graph]) -> dict:
     row["verdict"], row["certificate_type"] = _classify(
         value, threshold, margin, run_certifier,
         lambda: is_ktree_extremal(g, g.n, k))
-    return row
 
 
 def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
@@ -356,7 +427,8 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
         n: spectral_radius(a_matrix(ktree_extremal(n, k), float(a)), tol).radius
         for n in {g.n for _, g in items} if n >= 2 * k + 16
     }
-    rows = _map_items(partial(_ktree_item, (k, float(a), thresholds, tol, margin)),
+    rows = _map_items(partial(_staged, partial(_ktree_decode, k), (float(a),), tol,
+                              partial(_ktree_classify, (k, thresholds, margin))),
                       items, workers)
     return _finalize(
         theorem_id=f"ktree_{'adjacency' if a in (0, 0.0) else 'signless_laplacian'}",
@@ -369,16 +441,23 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
 # bipartite perfect matchings
 
 
-def _matching_item(params: tuple, bits: int) -> dict:
-    n, delta, a, threshold, tol, margin = params
+def _matching_decode(params: tuple, bits: int
+                     ) -> tuple[dict, Graph | None, BipartiteGraph | None]:
+    n, delta, threshold = params
     b = bipartite_from_bits(n, bits)
     g = b.to_graph()
     row = {"graph6": to_graph6(g).decode("ascii"), "bits": bits, "n": g.n,
            "m": g.m, "value": None, "threshold": None, "verdict": VACUOUS,
            "certificate_type": None}
     if threshold is None or min_degree(g) != delta:
-        return row
-    value = spectral_radius(a_matrix(g, a), tol).radius
+        return row, None, None
+    return row, g, b
+
+
+def _matching_classify(params: tuple, row: dict, g: Graph, b: BipartiteGraph,
+                       radii: list[float]) -> None:
+    n, delta, threshold, margin = params
+    value, = radii
     row["value"] = value
     row["threshold"] = threshold
 
@@ -391,7 +470,6 @@ def _matching_item(params: tuple, bits: int) -> dict:
     row["verdict"], row["certificate_type"] = _classify(
         value, threshold, margin, run_certifier,
         lambda: is_matching_extremal(b, n, delta))
-    return row
 
 
 def _sqrt_guard(delta: int) -> float:
@@ -436,7 +514,8 @@ def verify_matching_condition(n: int, delta: int, a: float = 0.0,
 
     items = bipartite_bit_stream(n, sample_count, seed)
     rows = _map_items(
-        partial(_matching_item, (n, delta, float(a), threshold, tol, margin)),
+        partial(_staged, partial(_matching_decode, (n, delta, threshold)), (float(a),), tol,
+                partial(_matching_classify, (n, delta, threshold, margin))),
         items, workers)
     matrix_kind = "adjacency" if a in (0, 0.0) else "signless_laplacian"
     return _finalize(
@@ -662,15 +741,9 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
 # edge-count bounds
 
 
-def _bounds_item(params: tuple, line: str) -> dict:
-    tol, = params
-    g = from_graph6(line)
-    row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
-           "verdict": VACUOUS, "certificate_type": None}
-    if not is_connected(g):
-        return row
-    rho = spectral_radius(a_matrix(g, 0.0), tol).radius
-    q = spectral_radius(a_matrix(g, 1.0), tol).radius
+def _bounds_classify(tol: float, row: dict, g: Graph, context: None,
+                     radii: list[float]) -> None:
+    rho, q = radii
     hong = hong_bound(g)
     das = das_bound(g) if g.n >= 2 else math.inf
     row["value"] = rho
@@ -679,14 +752,14 @@ def _bounds_item(params: tuple, line: str) -> dict:
     row["das"] = das
     ok = rho <= hong + tol and q <= das + tol
     row["verdict"] = CONFIRMED if ok else VIOLATED
-    return row
 
 
 def verify_bounds(stream: Iterable[Graph | str | bytes], *,
                   tol: float = DEFAULT_TOL, workers: int = 1) -> VerificationReport:
     """Edge-count bounds dominate both spectral radii on connected graphs."""
     lines = as_graph6_lines(stream)
-    rows = _map_items(partial(_bounds_item, (tol,)), lines, workers)
+    rows = _map_items(partial(_staged, partial(_line_decode, 1), (0.0, 1.0), tol,
+                              partial(_bounds_classify, tol)), lines, workers)
     return _finalize(
         theorem_id="spectral_bounds",
         population=f"{len(lines)} streamed graphs",

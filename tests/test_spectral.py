@@ -315,3 +315,179 @@ def test_convergence_error_pickles_intact():
     assert type(err) is ConvergenceError
     assert (err.radius, err.residual, err.iterations) == (2.5, 1e-3, 3)
     assert str(err) == "no certificate"
+
+
+# ---------------------------------------------------------------------------
+# stacks
+
+
+def _reference_spectral_radius(m, tol=TOL):
+    """The per-block eigensolver that stacks replaced, kept as the oracle:
+    per block, eigvalsh, then shifted solves normalised by np.linalg.norm."""
+    n = m.shape[0]
+    seen, comps = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for u in range(n):
+                if u != v and m[v, u] != 0 and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(np.array(sorted(comp)))
+    best_radius, best_vec, best_res, total = -math.inf, None, 0.0, 0
+    for comp in comps:
+        block = m[np.ix_(comp, comp)]
+        radius = float(np.linalg.eigvalsh(block)[-1])
+        bound = tol * max(1.0, radius)
+        shifted = (radius + 1e-12 * max(1.0, radius)) * np.eye(len(comp)) - block
+        x, residual = np.ones(len(comp)), math.inf
+        for solves in range(1, 4):
+            x = np.linalg.solve(shifted, x)
+            x /= np.linalg.norm(x)
+            residual = float(np.max(np.abs(block @ x - radius * x)))
+            if residual <= bound:
+                break
+        else:
+            raise ConvergenceError("reference", radius, residual, solves)
+        total += solves
+        if radius > best_radius:
+            best_radius, best_res = radius, residual
+            best_vec = np.zeros(n)
+            best_vec[comp] = x
+    return best_radius, best_vec, best_res, total
+
+
+def _stack_cases(n, rng):
+    """Matrices of order n: connected and disconnected graphs, tied blocks,
+    isolated vertices, at a in {0, 1}, and a random weighted matrix."""
+    graphs = [_random_connected(n, 0.5, rng)] if n > 1 else [complete_graph(1)]
+    upper = np.triu(rng.random((n, n)) < 1.5 / n, 1)
+    graphs.append(Graph(n, upper | upper.T))
+    if n % 2 == 0:
+        half = _random_connected(n // 2, 0.6, rng) if n > 2 else complete_graph(1)
+        graphs.append(disjoint_union([half, half]))  # tied blocks
+    if n >= 3:
+        graphs.append(disjoint_union([complete_graph(n - 2), empty_graph(2)]))
+    mats = [a_matrix(g, a) for g in graphs for a in (0.0, 1.0)]
+    weights = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    mats.append(weights + weights.T + np.diag(rng.random(n)))
+    return mats
+
+
+def test_stacks_are_bit_identical_to_the_per_block_path():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 71):
+        mats = _stack_cases(n, rng)
+        stacked = spectral_radius(np.stack(mats))
+        assert stacked.radius.shape == stacked.residual.shape == (len(mats),)
+        assert stacked.vector.shape == (len(mats), n)
+        assert type(stacked.iterations) is int
+        total = 0
+        for i, m in enumerate(mats):
+            radius, vector, residual, iterations = _reference_spectral_radius(m)
+            total += iterations
+            single = spectral_radius(m)
+            assert type(single.radius) is float and type(single.residual) is float
+            assert single.radius == radius and single.residual == residual
+            assert single.iterations == iterations
+            assert np.array_equal(single.vector, vector)
+            assert stacked.radius[i] == radius and stacked.residual[i] == residual
+            assert np.array_equal(stacked.vector[i], vector)
+        assert stacked.iterations == total
+
+
+def test_stack_results_are_read_only():
+    res = spectral_radius(np.stack([adjacency(path_graph(4))] * 3))
+    assert not res.vector.flags.writeable
+    assert not spectral_radius(adjacency(path_graph(4))).vector.flags.writeable
+
+
+def test_stack_validation_names_the_defect():
+    good = adjacency(cycle_graph(4))
+    for defect, message in [(math.nan, "matrix entries must be finite"),
+                            (-1.0, "matrix entries must be nonnegative")]:
+        bad = good.copy()
+        bad[0, 1] = bad[1, 0] = defect
+        for m in (bad, np.stack([good, bad, good])):
+            with pytest.raises(GraphInputError, match=f"^{message}$"):
+                spectral_radius(m)
+    bad = good.copy()
+    bad[0, 2] = 1.0
+    for m in (bad, np.stack([good, good, bad])):
+        with pytest.raises(GraphInputError, match="^matrix must be symmetric$"):
+            spectral_radius(m)
+
+
+def test_stack_shape_errors_are_one_line():
+    for m in ([adjacency(path_graph(3)), adjacency(path_graph(4))],  # mixed orders
+              np.zeros((2, 3, 4)), np.zeros((2, 2, 3, 3)), np.zeros((2, 0, 0))):
+        with pytest.raises(GraphInputError) as info:
+            spectral_radius(m)
+        assert len(str(info.value).splitlines()) == 1
+
+
+def test_stack_convergence_error_names_the_lowest_member():
+    mats = np.stack([adjacency(path_graph(5)), adjacency(cycle_graph(5))])
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radius(mats, tol=1e-300)
+    with pytest.raises(ConvergenceError) as alone:
+        spectral_radius(mats[0], tol=1e-300)
+    assert info.value.member == 0
+    assert str(info.value) == str(alone.value)
+    assert ((info.value.radius, info.value.residual, info.value.iterations)
+            == (alone.value.radius, alone.value.residual, alone.value.iterations))
+    # K5 meets 1e-16 (its residual is one rounding), P5 and C5 do not
+    mats = np.stack([adjacency(g) for g in (complete_graph(5), path_graph(5),
+                                            cycle_graph(5))])
+    assert spectral_radius(mats[0], tol=1e-16).iterations == 1
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radius(mats, tol=1e-16)
+    with pytest.raises(ConvergenceError) as alone:
+        spectral_radius(mats[1], tol=1e-16)
+    assert info.value.member == 1
+    assert str(info.value) == str(alone.value)
+    assert ((info.value.radius, info.value.residual, info.value.iterations)
+            == (alone.value.radius, alone.value.residual, alone.value.iterations))
+
+
+def test_a_matrix_stacks_graphs_of_one_order():
+    rng = np.random.default_rng(8)
+    graphs = [_random_connected(7, 0.4, rng) for _ in range(5)]
+    for a in (0.0, 1.0, 0.5):
+        stack = a_matrix(graphs, a)
+        assert stack.shape == (5, 7, 7)
+        for g, m in zip(graphs, stack):
+            assert m.tobytes() == a_matrix(g, a).tobytes()
+    with pytest.raises(GraphInputError):
+        a_matrix([path_graph(3), path_graph(4)], 0.0)
+    with pytest.raises(GraphInputError):
+        a_matrix([], 0.0)
+
+
+def test_singular_shifted_solve_fails_only_its_member(monkeypatch):
+    # a breakdown of the shifted solve cannot be provoked by a real input;
+    # a stand-in solve treats the member with entry 0.5 as singular
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if np.any(a[..., 0, 1] == -0.5):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    odd = adjacency(path_graph(3))
+    odd[0, 1] = odd[1, 0] = 0.5
+    mats = np.stack([adjacency(path_graph(3)), odd, adjacency(cycle_graph(3))])
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(ConvergenceError) as info:
+        spectral_radius(mats)
+    assert info.value.member == 1
+    assert (info.value.residual, info.value.iterations) == (math.inf, 1)
+    assert str(info.value).startswith("no certified eigenpair after 1 inverse-iteration "
+                                      "solve(s) (residual inf, ")
+    good = spectral_radius(mats[[0, 2]])
+    monkeypatch.undo()
+    assert np.array_equal(good.radius, spectral_radius(mats[[0, 2]]).radius)

@@ -1,13 +1,16 @@
 """Verification harnesses: verdict bookkeeping, determinism, small runs."""
 
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
-from spectralcert.errors import GraphInputError
+from spectralcert.errors import ConvergenceError, Graph6ParseError, GraphInputError
 from spectralcert.families import ktree_extremal, matching_extremal
-from spectralcert.graphs import complete_graph, path_graph, star_graph, to_graph6
+from spectralcert.graphs import complete_graph, from_graph6, path_graph, star_graph, to_graph6
+from spectralcert.spectral import a_matrix, spectral_radius
 from spectralcert.verify import (
     CONFIRMED,
     EXTREMAL,
@@ -296,3 +299,65 @@ def test_violation_payload_is_recheckable():
     row = report.rows[0]
     assert row["graph6"] == to_graph6(complete_graph(4)).decode()
     assert row["value"] is not None and row["threshold"] is not None
+
+
+def _report_bytes(report, path):
+    report.write_csv(str(path))
+    return report.to_json(), path.read_bytes()
+
+
+def test_worker_count_does_not_change_hamilton_or_matching_bytes(tmp_path):
+    stream = connected_corpus_stream(1, 6)
+    random.Random(5).shuffle(stream)
+    for variant in ("rho", "q"):
+        seq, par = (_report_bytes(verify_hamilton_condition(stream, variant, workers=w),
+                                  tmp_path / f"{variant}{w}.csv") for w in (1, 2))
+        assert seq == par
+    for delta, a in ((1, 0.0), (2, 1.0)):
+        seq, par = (_report_bytes(verify_matching_condition(3, delta, a, workers=w),
+                                  tmp_path / f"m{delta}{w}.csv") for w in (1, 2))
+        assert seq == par
+
+
+def test_csv_float_bits_are_pinned(tmp_path):
+    # the CSV rows carry every radius, so these digests pin the eigensolver's bits
+    for report, want in [
+        (verify_hamilton_condition(connected_corpus_stream(4, 7), "rho"),
+         "6ed897e0622d1a7ad5c9785cb5da6584130f8036719b97938f7373e60ecd58c5"),
+        (verify_matching_condition(3, 1, 0.0),
+         "7e6ff09f025681006b4dafaaf0aee18f947d0d7cdf35d171ae6e21ac1884c5ee"),
+    ]:
+        path = tmp_path / "rows.csv"
+        report.write_csv(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+def _first_failure(lines, a, tol):
+    """The ConvergenceError of the first line whose eigensolve fails alone."""
+    for line in lines:
+        try:
+            spectral_radius(a_matrix(from_graph6(line), a), tol)
+        except ConvergenceError as exc:
+            return exc
+    raise AssertionError("no line fails")
+
+
+def test_uncertified_eigenpair_raises_for_the_lowest_stream_index():
+    stream = connected_corpus_stream(4, 6)
+    random.Random(9).shuffle(stream)  # the first line is not of the lowest order
+    want = _first_failure(stream, 0.0, 1e-300)
+    runs = [lambda w: verify_hamilton_condition(stream, "rho", tol=1e-300, workers=w),
+            lambda w: verify_bounds(stream, tol=1e-300, workers=w)]
+    for run in runs:
+        for workers in (1, 2):
+            with pytest.raises(ConvergenceError) as info:
+                run(workers)
+            assert str(info.value) == str(want)
+            assert ((info.value.radius, info.value.residual, info.value.iterations)
+                    == (want.radius, want.residual, want.iterations))
+    # a graph6 defect counts by its place in the stream as well
+    for place, error in ((0, Graph6ParseError), (5, ConvergenceError)):
+        lines = stream[:place] + ["Cxx"] + stream[place:]
+        for workers in (1, 2):
+            with pytest.raises(error):
+                verify_hamilton_condition(lines, "rho", tol=1e-300, workers=workers)
