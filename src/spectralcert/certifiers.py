@@ -10,8 +10,8 @@ nonexistence within the stated caps.
   branches only on live edges; dead edges (both ends in one fragment, or
   an end already at degree k) are passed over without a feasibility check.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
-  (k-2)|S| + 2 components, searched in increasing size (articulation-guided
-  fast path, then full enumeration).
+  (k-2)|S| + 2 components, searched in increasing size and then
+  lexicographically, so it is a smallest one.
 * ``perfect_matching``: augmenting-path maximum matching, each path found
   by a depth-first search on an explicit stack, so no path is too long for
   the interpreter's recursion limit; on failure the X-side vertices
@@ -240,9 +240,10 @@ def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
 def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator | None:
     """Some S with c(G - S) > (k-2)|S| + 2, or None if no subset violates.
 
-    Exhaustive over all nonempty subsets (sizes above (n-3)/(k-1) cannot
-    violate and are skipped).  Subsets of articulation vertices are tried
-    first since violators concentrate there.
+    Exhaustive over all nonempty subsets in increasing size, and
+    lexicographically within a size (sizes above (n-3)/(k-1) cannot violate
+    and are skipped), so the violator returned is the lexicographically
+    first of the smallest ones.
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -264,12 +265,6 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
         c = len(_components(masks, full & ~mask))
         return c > (k - 2) * len(sel) + 2
 
-    arts = [v for v in range(n)
-            if len(_components(masks, full & ~(1 << v))) > 1]
-    for s in range(1, min(smax, len(arts)) + 1):
-        for sel in combinations(arts, s):
-            if violates(sel):
-                return WinViolator(sel)
     for s in range(1, smax + 1):
         for sel in combinations(range(n), s):
             if violates(sel):

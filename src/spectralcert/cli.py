@@ -70,7 +70,7 @@ class RunConfig:
     """Numeric and capacity knobs shared by the subcommands."""
 
     tolerance: float = DEFAULT_TOL
-    margin: float = DEFAULT_MARGIN
+    margin: float | None = DEFAULT_MARGIN  # None where no threshold is compared
     workers: int = 1
     seed: int = 0
     caps: dict = field(default_factory=lambda: {"win_n_cap": 20, "brute_matching_cap": 8})
@@ -78,7 +78,7 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
             raise GraphInputError("tolerance must be positive and finite")
-        if not self.tolerance <= self.margin < math.inf:
+        if self.margin is not None and not self.tolerance <= self.margin < math.inf:
             raise GraphInputError("margin must be finite and at least the tolerance")
         if self.workers < 1:
             raise GraphInputError("worker count must be positive")
@@ -102,15 +102,9 @@ def _default_workers() -> int:
         return 1
 
 
-def _add_common(parser: _Parser) -> None:
+def _add_tol(parser: _Parser) -> None:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="eigensolver residual tolerance")
-    parser.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
-                        help="threshold comparison margin")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
-                        help="parallel workers for stream harnesses")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized streams")
 
 
 def _stdin_lines() -> list[str]:
@@ -329,7 +323,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="graph6 string or - for stdin")
     p.add_argument("--a", type=float, default=0.0,
                    help="diagonal weight (0 adjacency, 1 signless Laplacian)")
-    _add_common(p)
+    _add_tol(p)
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("gen-family", help="emit an extremal family member as graph6")
@@ -352,7 +346,7 @@ def _build_parser() -> _Parser:
     p.add_argument("form", choices=["rho", "q"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    _add_common(p)
+    _add_tol(p)
     p.set_defaults(fn=_cmd_closed_form)
 
     p = sub.add_parser("certify", help="certificate JSON per graph")
@@ -392,7 +386,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=0.9, help="edge probability for random streams")
     p.add_argument("--report", type=str, default=None, help="write JSON report here")
     p.add_argument("--csv", type=str, default=None, help="write per-graph CSV here")
-    _add_common(p)
+    _add_tol(p)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
+                   help="threshold comparison margin")
+    p.add_argument("--workers", type=int, default=_default_workers(),
+                   help="parallel workers for stream harnesses")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized streams")
     p.set_defaults(fn=_cmd_verify)
     return parser
 
@@ -405,9 +404,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if hasattr(args, "tol"):
-            RunConfig(tolerance=args.tol, margin=getattr(args, "margin", DEFAULT_MARGIN),
-                      workers=getattr(args, "workers", 1),
-                      seed=getattr(args, "seed", 0))
+            RunConfig(tolerance=args.tol, margin=getattr(args, "margin", None),
+                      workers=getattr(args, "workers", 1))
         return args.fn(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

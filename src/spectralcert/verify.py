@@ -13,16 +13,20 @@ the margin are routed through the extremal recognizer and then the
 certifier, and are never reported as violations, since equality cases
 cannot be decided in floating point.
 
+Every harness eigensolves through ``_radii``: it takes a list of graphs and
+makes one ``spectral_radius`` call per order and diagonal weight, on the
+stack of their matrices, and raises the error of the lowest list index.
 The streamed harnesses (Hamilton paths, k-trees, matchings, edge-count
 bounds) run a contiguous chunk of their stream in three stages: each item is
-decoded and filtered on its own; the in-scope graphs are eigensolved with
-one ``spectral_radius`` call per order (and diagonal weight) on the stack
-of their matrices; then each in-scope item is classified on its own, so
+decoded and filtered on its own; the in-scope graphs go through one
+``_radii`` call; then each in-scope item is classified on its own, so
 certifiers and recognizers run only where a verdict needs them.  A chunk
 that meets an error (a graph6 defect, an uncertified eigenpair) raises the
 one of the lowest stream index.  One worker runs the stream as one chunk;
 more workers split it into a few contiguous chunks each, and the rows are
-joined in stream order.
+joined in stream order.  The monotonicity sweeps and the edge-deletion
+check build every graph of their grid first, make one ``_radii`` call, and
+then emit their rows in grid order.
 
 Reports are deterministic: identical stream and config give byte-identical
 JSON.  Violations carry a re-checkable payload (graph6, value, threshold,
@@ -176,47 +180,64 @@ def _map_items(fn, items: Sequence, workers: int) -> list:
         return [row for rows in pool.map(fn, chunks) for row in rows]
 
 
-def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
-            classify: Callable, chunk: Sequence) -> list[dict]:
-    """The three stages over one chunk.
+def _radii(graphs: Sequence[Graph], weights: tuple[float, ...],
+           tol: float) -> list[list[float]]:
+    """Each graph's radius of a*D + A at each weight a, in weight order.
 
-    decode(item) -> (row, g, context), with g None for an item out of
-    scope; each in-scope g is eigensolved at every diagonal weight, stacked
-    by order; classify(row, g, context, radii) fills in the verdict.  When
-    a decode or an eigensolve fails, the error of the lowest stream index
-    (then lowest weight) is raised and nothing is classified.
+    One spectral_radius call per order and weight, on the stack of that
+    order's matrices (split only above STACK_ENTRIES matrix entries).  When
+    eigensolves fail, the ConvergenceError of the lowest (index, weight)
+    pair is raised, with ``member`` set to that index in `graphs`.
     """
-    rows, scoped, errors = [], [], []
-    for item in chunk:
-        try:
-            row, g, context = decode(item)
-        except GraphInputError as exc:
-            errors.append((len(rows), 0, exc))
-            break
-        if g is not None:
-            scoped.append((len(rows), g, context))
-        rows.append(row)
-
-    radii: dict[int, list[float]] = {i: [] for i, _, _ in scoped}
-    by_order: dict[int, list[tuple[int, Graph]]] = {}
-    for i, g, _ in scoped:
-        by_order.setdefault(g.n, []).append((i, g))
+    radii: list[list[float]] = [[] for _ in graphs]
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    errors = []
     for n, members in by_order.items():
         step = max(1, STACK_ENTRIES // (n * n))
         for start in range(0, len(members), step):
             part = members[start:start + step]
             for slot, a in enumerate(weights):
                 try:
-                    result = spectral_radius(a_matrix([g for _, g in part], a), tol)
+                    result = spectral_radius(a_matrix([graphs[i] for i in part], a), tol)
                 except ConvergenceError as exc:
-                    errors.append((part[exc.member][0], slot, exc))
+                    errors.append((part[exc.member], slot, exc))
                     continue
-                for (i, _), value in zip(part, result.radius.tolist()):
+                for i, value in zip(part, result.radius.tolist()):
                     radii[i].append(value)
     if errors:
-        raise min(errors, key=lambda error: error[:2])[2]
-    for i, g, context in scoped:
-        classify(rows[i], g, context, radii[i])
+        i, _, exc = min(errors, key=lambda error: error[:2])
+        raise ConvergenceError(*exc.args[:4], member=i)
+    return radii
+
+
+def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
+            classify: Callable, chunk: Sequence) -> list[dict]:
+    """The three stages over one chunk.
+
+    decode(item) -> (row, g, context), with g None for an item out of
+    scope; the in-scope graphs are eigensolved at every diagonal weight by
+    one ``_radii`` call; classify(row, g, context, radii) fills in the
+    verdict.  When a decode or an eigensolve fails, the error of the lowest
+    stream index (then lowest weight) is raised and nothing is classified:
+    decoding stops at the first defect, so every eigensolve error precedes it.
+    """
+    rows, scoped, defect = [], [], None
+    for item in chunk:
+        try:
+            row, g, context = decode(item)
+        except GraphInputError as exc:
+            defect = exc
+            break
+        if g is not None:
+            scoped.append((len(rows), g, context))
+        rows.append(row)
+    radii = _radii([g for _, g, _ in scoped], weights, tol)
+    if defect is not None:
+        raise defect
+    for (i, g, context), values in zip(scoped, radii):
+        classify(rows[i], g, context, values)
     return rows
 
 
@@ -382,20 +403,18 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 # bounded-degree spanning trees
 
 
-def _ktree_decode(k: int, item: tuple[str, Graph]) -> tuple[dict, Graph | None, None]:
-    line, g = item
-    row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
-           "verdict": VACUOUS, "certificate_type": None}
-    if not is_connected(g) or g.n < 2 * k + 16:
-        return row, None, None
-    return row, g, None
+@lru_cache(maxsize=None)
+def _ktree_threshold(n: int, k: int, a: float, tol: float) -> float:
+    """The radius of a*D + A of the order-n extremal graph."""
+    (threshold,), = _radii([ktree_extremal(n, k)], (a,), tol)
+    return threshold
 
 
 def _ktree_classify(params: tuple, row: dict, g: Graph, context: None,
                     radii: list[float]) -> None:
-    k, thresholds, margin = params
+    k, a, tol, margin = params
     value, = radii
-    threshold = thresholds[g.n]
+    threshold = _ktree_threshold(g.n, k, a, tol)
     row["value"] = value
     row["threshold"] = threshold
 
@@ -415,21 +434,20 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
     """Spectral threshold for a degree-<=k spanning tree (k >= 3, n >= 2k+16).
 
     Streamed graphs below the order guard are counted vacuous.  The per-order
-    threshold is the computed radius of the extremal construction.
+    threshold is the computed radius of the extremal construction, solved
+    once per order when the first in-scope graph of that order is
+    classified.  A malformed line or an uncertified eigenpair of a streamed
+    graph raises the error of the lowest stream index, as in every streamed
+    harness.
     """
     if k < 3:
         raise GraphInputError(f"the spanning-tree threshold needs k >= 3, got {k}")
     if a not in (0.0, 1.0, 0, 1):
         raise GraphInputError("the threshold comparison is stated for a in {0, 1}")
     lines = as_graph6_lines(stream)
-    items = [(line, from_graph6(line)) for line in lines]
-    thresholds = {
-        n: spectral_radius(a_matrix(ktree_extremal(n, k), float(a)), tol).radius
-        for n in {g.n for _, g in items} if n >= 2 * k + 16
-    }
-    rows = _map_items(partial(_staged, partial(_ktree_decode, k), (float(a),), tol,
-                              partial(_ktree_classify, (k, thresholds, margin))),
-                      items, workers)
+    rows = _map_items(partial(_staged, partial(_line_decode, 2 * k + 16), (float(a),), tol,
+                              partial(_ktree_classify, (k, float(a), tol, margin))),
+                      lines, workers)
     return _finalize(
         theorem_id=f"ktree_{'adjacency' if a in (0, 0.0) else 'signless_laplacian'}",
         population=f"{len(lines)} streamed graphs",
@@ -550,34 +568,31 @@ def verify_cut_family_monotonicity(max_n: int = 20, max_s: int = 4,
     whose largest part is not already maximal, and a in {0, 1}: the family
     value must be strictly below the concentrated family value.
     """
-    rows = []
+    graphs, cases = [], []  # cases: (n, s, parts, graph index, concentrated index)
     for n in range(3, max_n + 1):
         for s in range(1, max_s + 1):
             for t in range(2, max_t + 1):
-                rest = n - s
-                if rest < t:
+                rest, big = n - s, n - s - t + 1  # big: the concentrated largest part
+                spread = [parts for parts in _partitions_exact(rest, t, rest) if parts[0] < big]
+                if not spread:  # only the concentrated partition, or none (rest < t)
                     continue
-                big = n - s - t + 1
-                concentrated = {
-                    a: spectral_radius(
-                        a_matrix(win_family(s, (big,) + (1,) * (t - 1)), a), tol).radius
-                    for a in (0.0, 1.0)
-                }
-                for parts in _partitions_exact(rest, t, rest):
-                    if parts[0] >= big:
-                        continue
-                    g = win_family(s, parts)
-                    for a in (0.0, 1.0):
-                        value = spectral_radius(a_matrix(g, a), tol).radius
-                        gap = concentrated[a] - value
-                        rows.append({
-                            "graph6": to_graph6(g).decode("ascii"),
-                            "item": f"n={n} s={s} parts={parts} a={a:g}",
-                            "n": n, "m": g.m, "value": value,
-                            "threshold": concentrated[a],
-                            "verdict": CONFIRMED if gap > tol else VIOLATED,
-                            "certificate_type": None,
-                        })
+                concentrated = len(graphs)
+                graphs.append(win_family(s, (big,) + (1,) * (t - 1)))
+                for parts in spread:
+                    cases.append((n, s, parts, len(graphs), concentrated))
+                    graphs.append(win_family(s, parts))
+    radii = _radii(graphs, (0.0, 1.0), tol)
+    rows = []
+    for n, s, parts, i, top in cases:
+        line, m = to_graph6(graphs[i]).decode("ascii"), graphs[i].m
+        for a, value, larger in zip((0.0, 1.0), radii[i], radii[top]):
+            rows.append({
+                "graph6": line,
+                "item": f"n={n} s={s} parts={parts} a={a:g}",
+                "n": n, "m": m, "value": value, "threshold": larger,
+                "verdict": CONFIRMED if larger - value > tol else VIOLATED,
+                "certificate_type": None,
+            })
     return _finalize(
         theorem_id="cut_family_monotonicity",
         population=f"partition grid n<={max_n}, s<={max_s}, t<={max_t}",
@@ -592,28 +607,20 @@ def verify_matching_family_monotonicity(max_n: int = 30, *,
     Compares the (n, s) matching-extremal radius against (n, s-1) for every
     1 <= s < n/2 and a in {0, 1}; both sides are eigensolved.
     """
+    keys = [(n, s) for n in range(3, max_n + 1) for s in range((n - 1) // 2 + 1)]
+    radii = _radii([matching_extremal(n, s).to_graph() for n, s in keys], (0.0, 1.0), tol)
     rows = []
-    cache: dict[tuple[int, int, float], float] = {}
-
-    def family_radius(n: int, s: int, a: float) -> float:
-        key = (n, s, a)
-        if key not in cache:
-            g = matching_extremal(n, s).to_graph()
-            cache[key] = spectral_radius(a_matrix(g, a), tol).radius
-        return cache[key]
-
-    for n in range(3, max_n + 1):
-        for s in range(1, (n - 1) // 2 + 1):  # exactly 1 <= s < n/2
-            for a in (0.0, 1.0):
-                value = family_radius(n, s, a)
-                larger = family_radius(n, s - 1, a)
-                rows.append({
-                    "graph6": None,
-                    "item": f"n={n} s={s} a={a:g}",
-                    "n": 2 * n, "m": None, "value": value, "threshold": larger,
-                    "verdict": CONFIRMED if larger - value > tol else VIOLATED,
-                    "certificate_type": None,
-                })
+    for i, (n, s) in enumerate(keys):
+        if s == 0:  # rows are exactly 1 <= s < n/2; (n, s - 1) is keys[i - 1]
+            continue
+        for a, value, larger in zip((0.0, 1.0), radii[i], radii[i - 1]):
+            rows.append({
+                "graph6": None,
+                "item": f"n={n} s={s} a={a:g}",
+                "n": 2 * n, "m": None, "value": value, "threshold": larger,
+                "verdict": CONFIRMED if larger - value > tol else VIOLATED,
+                "certificate_type": None,
+            })
     return _finalize(
         theorem_id="matching_family_monotonicity",
         population=f"1 <= s < n/2, n <= {max_n}",
@@ -661,74 +668,53 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
         raise GraphInputError(f"seed must be nonnegative, got {seed}")
     below_guard = n < _sqrt_guard(delta)
     failed = VACUOUS if below_guard else VIOLATED
-    ext = matching_extremal(n, delta)
+    ext = matching_extremal(n, delta).to_graph()  # X is 0..n-1, Y is n..2n-1
     threshold = sqrt_threshold(n, delta)
-    rows = []
 
     def below_threshold(value: float) -> str:
         if value < threshold - margin:
             return CONFIRMED
         return failed if value > threshold + margin else VACUOUS
 
-    def radius_of(b: BipartiteGraph) -> float:
-        return spectral_radius(a_matrix(b.to_graph(), 0.0), tol).radius
-
-    ext_value = radius_of(ext)
-    rows.append({
-        "graph6": to_graph6(ext.to_graph()).decode("ascii"),
-        "item": "extremal", "n": 2 * n, "m": ext.m, "value": ext_value,
-        "threshold": threshold,
-        "verdict": EXTREMAL if ext_value >= threshold - margin else failed,
-        "certificate_type": None,
-    })
-
     # deletion types preserving minimum degree: Y1 x X2 and X2 x Y2
     type1 = [(x, y) for x in range(delta + 1, n) for y in range(delta)]
     type2 = [(x, y) for x in range(delta + 1, n) for y in range(delta, n)]
-    values = {1: [], 2: []}
-    for kind, pairs in ((1, type1), (2, type2)):
-        for x, y in pairs:
-            h = ext.delete_edge(x, y)
-            assert min_degree(h) == delta
-            value = radius_of(h)
-            values[kind].append(value)
-            rows.append({
-                "graph6": to_graph6(h.to_graph()).decode("ascii"),
-                "item": f"delete_type{kind} x={x} y={y}", "n": 2 * n, "m": h.m,
-                "value": value, "threshold": threshold,
-                "verdict": below_threshold(value),
-                "certificate_type": None,
-            })
+    deletable = type1 + type2
+    singles = [ext.delete_edge(x, n + y) for x, y in deletable]
+    assert all(min_degree(h) == delta for h in singles)
+    rng = np.random.default_rng(seed)
+    deep = []  # (item, graph): two distinct edges of ext, so both deletions succeed
+    while len(deep) < deep_samples:
+        picks = [deletable[int(i)] for i in rng.choice(len(deletable), size=2, replace=False)]
+        h = ext
+        for x, y in picks:
+            h = h.delete_edge(x, n + y)
+        if min_degree(h) == delta:
+            deep.append((f"deep_delete {sorted(picks)}", h))
+
+    labels = ([f"delete_type1 x={x} y={y}" for x, y in type1]
+              + [f"delete_type2 x={x} y={y}" for x, y in type2])
+    radii = [value for value, in _radii([ext] + singles + [h for _, h in deep], (0.0,), tol)]
+
+    def row(item: str, g: Graph, value: float, verdict: str) -> dict:
+        return {"graph6": to_graph6(g).decode("ascii"), "item": item, "n": 2 * n,
+                "m": g.m, "value": value, "threshold": threshold, "verdict": verdict,
+                "certificate_type": None}
+
+    rows = [row("extremal", ext, radii[0],
+                EXTREMAL if radii[0] >= threshold - margin else failed)]
+    rows += [row(label, h, value, below_threshold(value))
+             for label, h, value in zip(labels, singles, radii[1:])]
+    low2 = min(radii[1 + len(type1):1 + len(deletable)])
+    high1 = max(radii[1:1 + len(type1)])
     rows.append({
         "graph6": None, "item": "type2_above_type1", "n": 2 * n, "m": None,
-        "value": min(values[2]), "threshold": max(values[1]),
-        "verdict": CONFIRMED if min(values[2]) > max(values[1]) else failed,
+        "value": low2, "threshold": high1,
+        "verdict": CONFIRMED if low2 > high1 else failed,
         "certificate_type": None,
     })
-
-    rng = np.random.default_rng(seed)
-    deletable = type1 + type2
-    done = 0
-    while done < deep_samples:
-        picks = rng.choice(len(deletable), size=2, replace=False)
-        h = ext
-        try:
-            for i in picks:
-                h = h.delete_edge(*deletable[int(i)])
-        except GraphInputError:
-            continue
-        if min_degree(h) != delta:
-            continue
-        value = radius_of(h)
-        rows.append({
-            "graph6": to_graph6(h.to_graph()).decode("ascii"),
-            "item": f"deep_delete {sorted(deletable[int(i)] for i in picks)}",
-            "n": 2 * n, "m": h.m, "value": value, "threshold": threshold,
-            "verdict": below_threshold(value),
-            "certificate_type": None,
-        })
-        done += 1
-
+    rows += [row(label, h, value, below_threshold(value))
+             for (label, h), value in zip(deep, radii[1 + len(deletable):])]
     return _finalize(
         theorem_id="edge_deletion_bound",
         population=f"single and sampled double edge deletions at n={n}, delta={delta}",

@@ -265,6 +265,13 @@ def test_spectral_unreachable_tolerance_exits_numeric(capsys):
     assert err.startswith("error: ")
 
 
+def test_spectral_and_closed_form_take_a_tolerance_above_the_default_margin(capsys):
+    # neither compares with a threshold, so no margin bounds the tolerance
+    assert main(["spectral", _g6(complete_graph(4)), "--tol", "1e-6"]) == 0
+    assert main(["closed-form", "rho", "--n", "5", "--delta", "1", "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_python_dash_m_entry_point():
     import os
     import subprocess

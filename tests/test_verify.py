@@ -1,14 +1,17 @@
 """Verification harnesses: verdict bookkeeping, determinism, small runs."""
 
+import ast
 import hashlib
 import json
 import random
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from spectralcert.errors import ConvergenceError, Graph6ParseError, GraphInputError
-from spectralcert.families import ktree_extremal, matching_extremal
+from spectralcert.families import ktree_extremal, matching_extremal, win_family
 from spectralcert.graphs import complete_graph, from_graph6, path_graph, star_graph, to_graph6
 from spectralcert.spectral import a_matrix, spectral_radius
 from spectralcert.verify import (
@@ -326,6 +329,12 @@ def test_csv_float_bits_are_pinned(tmp_path):
          "6ed897e0622d1a7ad5c9785cb5da6584130f8036719b97938f7373e60ecd58c5"),
         (verify_matching_condition(3, 1, 0.0),
          "7e6ff09f025681006b4dafaaf0aee18f947d0d7cdf35d171ae6e21ac1884c5ee"),
+        (verify_cut_family_monotonicity(max_n=10, max_s=2, max_t=4),
+         "c6398289343dde314941dd6a37d3a88b6da0312181025925e7382ae26edfd129"),
+        (verify_matching_family_monotonicity(max_n=10),
+         "b886d95b184b928af20c7e73c5522cbca16f544fbf9f6bedf41d1a7dc98eac8e"),
+        (verify_edge_deletion_bound(9, 2, seed=1, deep_samples=10),
+         "745b003d77332bcccb15370e698c4a7010b0e9e00e0d871d0a07e75c55494e4b"),
     ]:
         path = tmp_path / "rows.csv"
         report.write_csv(str(path))
@@ -361,3 +370,42 @@ def test_uncertified_eigenpair_raises_for_the_lowest_stream_index():
         for workers in (1, 2):
             with pytest.raises(error):
                 verify_hamilton_condition(lines, "rho", tol=1e-300, workers=workers)
+
+
+def _first_failure_by_graph(graphs, weights, tol):
+    """The ConvergenceError of the first (graph, weight) pair, graph by graph,
+    whose eigensolve fails alone; None when every pair passes."""
+    for g in graphs:
+        for a in weights:
+            try:
+                spectral_radius(a_matrix(g, a), tol)
+            except ConvergenceError as exc:
+                return exc
+    return None
+
+
+def test_sweeps_raise_the_first_failure_in_row_order():
+    cut = partial(verify_cut_family_monotonicity, max_n=10, max_s=2, max_t=4)
+    deletion = partial(verify_edge_deletion_bound, 9, 2, seed=1, deep_samples=10)
+    # the graphs each run solves, in row order; a cut row reads the
+    # concentrated graph of its (n, s, t) before its own graph
+    cut_lines = []
+    for row in cut().rows:
+        n, s, parts = re.fullmatch(r"n=(\d+) s=(\d+) parts=(\(.*\)) a=.*", row["item"]).groups()
+        n, s, t = int(n), int(s), len(ast.literal_eval(parts))
+        top = win_family(s, (n - s - t + 1,) + (1,) * (t - 1))
+        cut_lines += [to_graph6(top).decode(), row["graph6"]]
+    deletion_lines = [row["graph6"] for row in deletion().rows if row["graph6"] is not None]
+    for run, lines, weights in ((cut, cut_lines, (0.0, 1.0)), (deletion, deletion_lines, (0.0,))):
+        graphs = [from_graph6(line) for line in dict.fromkeys(lines)]
+        # at 3e-16 only a few pairs fail, none of them the first
+        for tol in (1e-300, 3e-16):
+            want = _first_failure_by_graph(graphs, weights, tol)
+            if want is None:
+                run(tol=tol)
+                continue
+            with pytest.raises(ConvergenceError) as info:
+                run(tol=tol)
+            assert str(info.value) == str(want)
+            assert ((info.value.radius, info.value.residual, info.value.iterations)
+                    == (want.radius, want.residual, want.iterations))
