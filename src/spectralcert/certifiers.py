@@ -4,14 +4,18 @@ Every search here is complete: an absent certificate is a proof of
 nonexistence within the stated caps.
 
 * ``find_k_tree``: spanning tree with maximum degree at most k, by
-  edge-addition DFS over a fixed edge order (most constrained endpoints
-  first) with three prunes: degree caps, connectivity of the remaining
-  possibility graph, and a per-component outward degree budget.  The DFS
-  branches only on live edges; dead edges (both ends in one fragment, or
-  an end already at degree k) are passed over without a feasibility check.
+  edge-addition DFS on an explicit stack over a fixed edge order (most
+  constrained endpoints first).  Its one prune is that the possibility
+  graph (tree edges plus undecided edges with both ends below degree k)
+  stays connected; a per-fragment outward budget is implied, because tree
+  edges lie inside fragments, so a connected possibility graph gives every
+  fragment a usable edge out.  The DFS branches only on live edges; dead
+  edges (both ends in one fragment, or an end already at degree k) are
+  passed over without a feasibility check.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
-  lexicographically, so it is a smallest one.
+  lexicographically, so it is a smallest one.  Components are counted only
+  from the boundary N(S) - S, which meets every one of them.
 * ``perfect_matching``: augmenting-path maximum matching, each path found
   by a depth-first search on an explicit stack, so no path is too long for
   the interpreter's recursion limit; on failure the X-side vertices
@@ -26,12 +30,11 @@ are deterministic for a fixed input labeling.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError, GraphInputError
-from .graphs import BipartiteGraph, Graph, _bits, _components, _reach, is_connected
+from .graphs import BipartiteGraph, Graph, _bits, _reach, is_connected
 
 WIN_N_CAP = 20
 BRUTE_MATCHING_CAP = 8
@@ -88,12 +91,16 @@ def certificate_to_json(cert: Certificate) -> dict:
 def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """A spanning tree of g with every degree <= k, or None if none exists.
 
-    Exact search; g must be connected.  Each search node checks feasibility
+    Exact search; g must be connected.  Each search node tests feasibility
     once, then skips dead edges and branches (add, then exclude) on the
-    next live one.  Skipping is exact: fragments only merge and degrees only
-    grow below a node, so a dead edge stays dead there, and the prunes never
-    read a dead edge (an edge inside a fragment joins vertices the tree
-    already connects; an edge at a full vertex is masked by the degree cap).
+    next live one, depth first on an explicit stack.  The test is that the
+    possibility graph (tree edges plus undecided edges whose ends are both
+    below degree k) is connected.  That also gives every fragment a usable
+    edge to the outside, since tree edges stay inside fragments.  Skipping
+    is exact: fragments only merge and degrees only grow below a node, so a
+    dead edge stays dead there, and the test never needs one (an edge inside
+    a fragment joins vertices the tree already connects; an edge at a full
+    vertex is not usable).
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -117,95 +124,68 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             v = parent[v]
         return v
 
-    deg = [0] * n
     tree_adj = [0] * n
     und = [0] * n  # undecided incident edges, as neighbor bitmasks
     for u, v in edges:
         und[u] |= 1 << v
         und[v] |= 1 << u
-    chosen: list[tuple[int, int]] = []
     full = (1 << n) - 1
-
-    def feasible() -> bool:
-        members: dict[int, int] = {}
-        for v in range(n):
-            r = find(v)
-            members[r] = members.get(r, 0) | 1 << v
-        if len(members) == 1:
-            return True
-        cap_ok = 0
-        for v in range(n):
-            if deg[v] < k:
-                cap_ok |= 1 << v
-        avail = [und[v] & cap_ok if deg[v] < k else 0 for v in range(n)]
-        # the possibility graph (tree edges plus usable undecided edges)
-        # must still be connected
-        possible = [t | a for t, a in zip(tree_adj, avail)]
-        if _reach(possible, 1, full) != full:
-            return False
-        # every fragment still needs at least one edge to the outside
-        for block in members.values():
-            outward = 0
-            mm = block
-            while mm:
-                low = mm & -mm
-                v = low.bit_length() - 1
-                mm ^= low
-                cross = avail[v] & ~block
-                if cross:
-                    outward += min(k - deg[v], cross.bit_count())
-            if outward == 0:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if len(chosen) == n - 1:
-            return True
-        if not feasible():
-            return False
-        # A dead edge (ends in one fragment, or an end at degree k) stays dead
-        # below this node and feasible() never reads its und bit: skip it.
-        while True:
-            if i == m:
-                return False
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv and deg[u] < k and deg[v] < k:
-                break
+    below = full  # vertices of degree < k
+    chosen: list[tuple[int, int]] = []
+    # one frame per branched edge: (index, ru, rv) while its add branch is
+    # open, (index, -1, -1) once it is excluded
+    frames: list[tuple[int, int, int]] = []
+    i = 0
+    while len(chosen) < n - 1:
+        # one search node: test the possibility graph, then add the next live edge
+        possible = [t | a & below if below >> v & 1 else t
+                    for v, (t, a) in enumerate(zip(tree_adj, und))]
+        if _reach(possible, 1, full) == full:
+            while i < m:
+                u, v = edges[i]
+                ru, rv = find(u), find(v)
+                if ru != rv and below >> u & below >> v & 1:
+                    break
+                i += 1
+        else:
+            i = m
+        if i < m:
+            und[u] &= ~(1 << v)
+            und[v] &= ~(1 << u)
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            tree_adj[u] |= 1 << v
+            tree_adj[v] |= 1 << u
+            if tree_adj[u].bit_count() == k:
+                below &= ~(1 << u)
+            if tree_adj[v].bit_count() == k:
+                below &= ~(1 << v)
+            chosen.append((u, v))
+            frames.append((i, ru, rv))
             i += 1
-        und[u] &= ~(1 << v)
-        und[v] &= ~(1 << u)
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        deg[u] += 1
-        deg[v] += 1
-        tree_adj[u] |= 1 << v
-        tree_adj[v] |= 1 << u
-        chosen.append((u, v))
-        if search(i + 1):
-            return True
-        chosen.pop()
-        tree_adj[u] &= ~(1 << v)
-        tree_adj[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
-        parent[rv] = rv
-        size[ru] -= size[rv]
-        if search(i + 1):
-            return True
-        und[u] |= 1 << v
-        und[v] |= 1 << u
-        return False
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 2 * m + 200))
-    try:
-        found = search(0)
-    finally:
-        sys.setrecursionlimit(limit)
-    return KTreeCertificate(tuple(sorted(chosen))) if found else None
+            continue
+        # this node failed: undo to the deepest add branch, then exclude it
+        while frames:
+            i, ru, rv = frames.pop()
+            u, v = edges[i]
+            if rv < 0:
+                und[u] |= 1 << v
+                und[v] |= 1 << u
+                continue
+            chosen.pop()
+            tree_adj[u] &= ~(1 << v)
+            tree_adj[v] &= ~(1 << u)
+            below |= 1 << u | 1 << v
+            parent[rv] = rv
+            size[ru] -= size[rv]
+            frames.append((i, -1, -1))
+            i += 1
+            break
+        else:
+            return None
+    return KTreeCertificate(tuple(sorted(chosen)))
 
 
 def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
@@ -243,7 +223,10 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
     Exhaustive over all nonempty subsets in increasing size, and
     lexicographically within a size (sizes above (n-3)/(k-1) cannot violate
     and are skipped), so the violator returned is the lexicographically
-    first of the smallest ones.
+    first of the smallest ones.  G is connected, so every component of
+    G - S holds a vertex of the boundary N(S) - S: a set with too small a
+    boundary is skipped, and components are counted from the boundary only
+    until the count is decided.
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -254,21 +237,25 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
     n = g.n
     masks = g.neighbor_masks
     full = (1 << n) - 1
-    smax = (n - 3) // (k - 1)
-    if smax < 1:
-        return None
-
-    def violates(sel: tuple[int, ...]) -> bool:
-        mask = 0
-        for v in sel:
-            mask |= 1 << v
-        c = len(_components(masks, full & ~mask))
-        return c > (k - 2) * len(sel) + 2
-
-    for s in range(1, smax + 1):
+    for s in range(1, (n - 3) // (k - 1) + 1):
+        bound = (k - 2) * s + 2
         for sel in combinations(range(n), s):
-            if violates(sel):
-                return WinViolator(sel)
+            removed = touched = 0
+            for v in sel:
+                removed |= 1 << v
+                touched |= masks[v]
+            boundary = touched & ~removed
+            if boundary.bit_count() <= bound:
+                continue
+            alive = full & ~removed
+            c = 0
+            while boundary:
+                boundary &= ~_reach(masks, boundary & -boundary, alive)
+                c += 1
+                if c > bound:
+                    return WinViolator(sel)
+                if c + boundary.bit_count() <= bound:
+                    break
     return None
 
 

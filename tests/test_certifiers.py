@@ -102,6 +102,50 @@ def test_k_tree_certificates_unchanged_on_corpus():
     assert digest == "162e5734e5affdea13a0ea8e4d9ee4d527a891e096297c30774346c567d5037f"
 
 
+def test_win_violators_unchanged_on_corpus():
+    # pins the violator returned, the lexicographically first smallest one,
+    # on every pair of the connected n <= 7 corpus and k in {2, 3, 4}
+    rows = []
+    for n in range(2, 8):
+        for g in connected_graphs(n):
+            for k in (2, 3, 4):
+                viol = find_win_violator(g, k)
+                rows.append(None if viol is None else certificate_to_json(viol))
+    assert len(rows) == 2985
+    assert sum(r is not None for r in rows) == 870
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "e2f1605f3a2c9f1c02a5f03610cba1d51cde575f286e36dc0c837df559c2d94f"
+
+
+def _first_win_violator_brute(g, k):
+    """First S, by size then lexicographically, with c(G - S) > (k-2)|S| + 2."""
+    for s in range(1, g.n + 1):
+        for sel in combinations(range(g.n), s):
+            if components_after_removal(g, sel) > (k - 2) * s + 2:
+                return WinViolator(sel)
+    return None
+
+
+def test_win_violator_matches_brute_force():
+    rng = np.random.default_rng(17)
+    found = absent = 0
+    for p in (0.2, 0.3, 0.5):
+        graphs = 0
+        while graphs < 20:
+            n = int(rng.integers(4, 12))
+            upper = np.triu(rng.random((n, n)) < p, 1)
+            g = Graph(n, upper | upper.T)
+            if not is_connected(g):
+                continue
+            graphs += 1
+            for k in (2, 3, 4):
+                expected = _first_win_violator_brute(g, k)
+                assert find_win_violator(g, k) == expected, (g, k)
+                found += expected is not None
+                absent += expected is None
+    assert found > 20 and absent > 20
+
+
 def _min_spanning_tree_max_degree(g):
     """Smallest maximum degree over all spanning trees, by edge subsets."""
     best = None
@@ -159,6 +203,19 @@ def test_k_tree_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(outer)
+
+
+def test_k_tree_search_does_not_recurse(monkeypatch):
+    import sys
+
+    def refuse(limit):
+        raise AssertionError(f"recursion limit set to {limit}")
+
+    # the DFS on a path of 1,100 vertices is deeper than the default limit
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = path_graph(1100)
+    cert = find_k_tree(g, 2)
+    assert cert is not None and is_valid_ktree(g, 2, cert)
 
 
 def test_win_violator_on_extremal_graph():
