@@ -7,11 +7,12 @@ nonexistence within the stated caps.
   edge-addition DFS on an explicit stack over a fixed edge order (most
   constrained endpoints first).  Its one prune is that the possibility
   graph (tree edges plus undecided edges with both ends below degree k)
-  stays connected; a per-fragment outward budget is implied, because tree
-  edges lie inside fragments, so a connected possibility graph gives every
-  fragment a usable edge out.  The DFS branches only on live edges; dead
-  edges (both ends in one fragment, or an end already at degree k) are
-  passed over without a feasibility check.
+  stays connected, tested only after the possibility graph lost an edge; a
+  per-fragment outward budget is implied, because tree edges lie inside
+  fragments, so a connected possibility graph gives every fragment a usable
+  edge out.  The DFS branches only on live edges; dead edges (both ends in
+  one fragment, or an end already at degree k) are passed over without a
+  feasibility check.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
   lexicographically, so it is a smallest one.  Components are counted only
@@ -91,12 +92,15 @@ def certificate_to_json(cert: Certificate) -> dict:
 def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """A spanning tree of g with every degree <= k, or None if none exists.
 
-    Exact search; g must be connected.  Each search node tests feasibility
-    once, then skips dead edges and branches (add, then exclude) on the
-    next live one, depth first on an explicit stack.  The test is that the
+    Exact search; g must be connected.  Each search node tests feasibility,
+    then skips dead edges and branches (add, then exclude) on the next live
+    one, depth first on an explicit stack.  The test is that the
     possibility graph (tree edges plus undecided edges whose ends are both
     below degree k) is connected.  That also gives every fragment a usable
-    edge to the outside, since tree edges stay inside fragments.  Skipping
+    edge to the outside, since tree edges stay inside fragments.  The graph
+    loses edges only on an exclusion, or when an added edge fills an end
+    that still has an undecided edge to a vertex below k; every other node
+    keeps its parent's graph, and so its passing test, unrun.  Skipping
     is exact: fragments only merge and degrees only grow below a node, so a
     dead edge stays dead there, and the test never needs one (an edge inside
     a fragment joins vertices the tree already connects; an edge at a full
@@ -136,11 +140,14 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     # open, (index, -1, -1) once it is excluded
     frames: list[tuple[int, int, int]] = []
     i = 0
+    stale = True  # the possibility graph lost an edge since it last passed
     while len(chosen) < n - 1:
         # one search node: test the possibility graph, then add the next live edge
-        possible = [t | a & below if below >> v & 1 else t
-                    for v, (t, a) in enumerate(zip(tree_adj, und))]
-        if _reach(possible, 1, full) == full:
+        if stale:
+            possible = [t | a & below if below >> v & 1 else t
+                        for v, (t, a) in enumerate(zip(tree_adj, und))]
+            stale = _reach(possible, 1, full) != full
+        if not stale:
             while i < m:
                 u, v = edges[i]
                 ru, rv = find(u), find(v)
@@ -158,10 +165,14 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             size[ru] += size[rv]
             tree_adj[u] |= 1 << v
             tree_adj[v] |= 1 << u
+            lost = 0  # undecided neighbors of an end that is now full
             if tree_adj[u].bit_count() == k:
                 below &= ~(1 << u)
+                lost |= und[u]
             if tree_adj[v].bit_count() == k:
                 below &= ~(1 << v)
+                lost |= und[v]
+            stale = lost & below != 0
             chosen.append((u, v))
             frames.append((i, ru, rv))
             i += 1
@@ -182,6 +193,7 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             size[ru] -= size[rv]
             frames.append((i, -1, -1))
             i += 1
+            stale = True
             break
         else:
             return None

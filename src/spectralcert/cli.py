@@ -6,6 +6,10 @@ family values with an eigensolver cross-check), ``certify`` (certificate
 JSON per graph), ``verify`` (theorem harnesses, JSON/CSV reports), and
 ``quotient`` (the 4x4 block quotient of the matching family).
 
+Only ``spectral``, ``closed-form``, ``quotient`` and ``verify`` load numpy
+and the eigensolver stack; ``certify`` and ``gen-family`` work on bitmasks
+alone, so they start without either.  Each handler imports what it uses.
+
 Exit codes: 0 success, 1 usage or input error, 2 a verification run found
 violations, 3 the eigensolver failed to converge.  Graph arguments are a
 literal graph6 string or ``-`` to read graph6 lines from stdin (blank lines
@@ -22,42 +26,15 @@ import sys
 from dataclasses import dataclass, field
 
 from .certifiers import (
+    BRUTE_MATCHING_CAP,
+    WIN_N_CAP,
     certificate_to_json,
     find_k_tree,
     find_win_violator,
     perfect_matching,
 )
-from .errors import ConvergenceError, GraphInputError
-from .families import (
-    ktree_extremal,
-    matching_extremal,
-    matching_quotient_charpoly,
-    matching_quotient_matrix,
-    q_matching_extremal,
-    rho_matching_extremal,
-    win_family,
-)
+from .errors import DEFAULT_MARGIN, DEFAULT_TOL, ConvergenceError, GraphInputError
 from .graphs import BipartiteGraph, Graph, _bits, from_graph6, to_graph6
-from .spectral import (
-    DEFAULT_TOL,
-    a_matrix,
-    das_bound,
-    hong_bound,
-    largest_eigenvalue_dense,
-    spectral_radius,
-)
-from .verify import (
-    DEFAULT_MARGIN,
-    connected_corpus_stream,
-    random_connected_stream,
-    verify_bounds,
-    verify_cut_family_monotonicity,
-    verify_edge_deletion_bound,
-    verify_hamilton_condition,
-    verify_ktree_condition,
-    verify_matching_condition,
-    verify_matching_family_monotonicity,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,7 +50,8 @@ class RunConfig:
     margin: float | None = DEFAULT_MARGIN  # None where no threshold is compared
     workers: int = 1
     seed: int = 0
-    caps: dict = field(default_factory=lambda: {"win_n_cap": 20, "brute_matching_cap": 8})
+    caps: dict = field(default_factory=lambda: {"win_n_cap": WIN_N_CAP,
+                                                "brute_matching_cap": BRUTE_MATCHING_CAP})
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
@@ -180,6 +158,8 @@ def _bipartition(g: Graph) -> BipartiteGraph:
 
 
 def _cmd_spectral(args) -> int:
+    from .spectral import a_matrix, das_bound, hong_bound, spectral_radius
+
     for g in _read_graphs(args.source):
         result = spectral_radius(a_matrix(g, args.a), args.tol)
         try:
@@ -197,6 +177,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_gen_family(args) -> int:
+    from .families import ktree_extremal, matching_extremal, win_family
+
     if args.family == "ktree":
         graphs = [ktree_extremal(args.n, args.k)]
     elif args.family == "win":
@@ -219,6 +201,9 @@ def _cmd_gen_family(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    from .families import matching_extremal, q_matching_extremal, rho_matching_extremal
+    from .spectral import a_matrix, spectral_radius
+
     if args.form == "rho":
         value = rho_matching_extremal(args.n, args.delta)
         a = 0.0
@@ -247,6 +232,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .families import matching_quotient_charpoly, matching_quotient_matrix
+    from .spectral import largest_eigenvalue_dense
+
     b = matching_quotient_matrix(args.n, args.s, args.a)
     for row in b:
         print(" ".join(f"{v:g}" for v in row))
@@ -257,6 +245,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _stream_for(args) -> list[str]:
+    from .verify import connected_corpus_stream
+
     if args.stream:
         if args.stream == "-":
             return _stdin_lines()
@@ -266,6 +256,18 @@ def _stream_for(args) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from .families import ktree_extremal
+    from .verify import (
+        random_connected_stream,
+        verify_bounds,
+        verify_cut_family_monotonicity,
+        verify_edge_deletion_bound,
+        verify_hamilton_condition,
+        verify_ktree_condition,
+        verify_matching_condition,
+        verify_matching_family_monotonicity,
+    )
+
     target = args.target
     seeded = target == "edge-deletion"
     if target in ("hamilton-rho", "hamilton-q"):

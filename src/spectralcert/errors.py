@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two numeric defaults.
+
+The defaults live here, beside ``ConvergenceError``, because the CLI parser
+needs them and this module loads without numpy; ``spectral.DEFAULT_TOL`` and
+``verify.DEFAULT_MARGIN`` are the same objects.
+"""
+
+DEFAULT_TOL = 1e-10  # eigensolver residual tolerance
+DEFAULT_MARGIN = 1e-8  # threshold comparison margin
 
 
 class GraphInputError(ValueError):

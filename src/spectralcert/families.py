@@ -18,8 +18,7 @@ the block partition and its quartic characteristic polynomial.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GraphInputError
 from .graphs import (
@@ -33,6 +32,9 @@ from .graphs import (
     empty_graph,
     join,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +154,8 @@ def matching_quotient_matrix(n: int, s: int, a: float) -> np.ndarray:
 
     Row/column order is (X1, X2, Y1, Y2).
     """
+    import numpy as np
+
     if not 1 <= s < n:
         raise GraphInputError(f"need 1 <= s < n, got s={s}, n={n}")
     if a < 0:

@@ -5,7 +5,10 @@ per vertex; ``BipartiteGraph`` stores one bitmask over Y per X vertex, and
 |Y|.  Orders, degrees, edges and equality derive from the masks; the boolean
 matrices ``adj`` and ``biadj`` are built, read-only, on each access.  Both
 are immutable, so instances can be shared freely across workers.  All
-operations here are pure functions returning new objects.
+operations here are pure functions returning new objects.  numpy is loaded
+only by the array constructors ``Graph(n, adj)`` and
+``BipartiteGraph(nx, ny, biadj)`` and by the ``adj``/``biadj`` views, so the
+mask-only paths (graph6, the certifiers) run without it.
 
 The only interchange format is graph6 (6-bit big-endian packing of the upper
 triangle in column order, header byte n+63 for n <= 62, '~'-prefixed 18-bit
@@ -14,15 +17,18 @@ header beyond).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import Graph6ParseError, GraphInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as an integer bitmask (bit j set iff row[j])."""
+    import numpy as np
+
     packed = np.packbits(rows, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
@@ -30,6 +36,8 @@ def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
 def _mask_rows(masks: Sequence[int], width: int) -> np.ndarray:
     """The inverse of ``_row_masks``: a read-only boolean matrix of `width`
     columns whose row i holds the bits of masks[i]."""
+    import numpy as np
+
     nbytes = (width + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
                            dtype=np.uint8).reshape(len(masks), nbytes)
@@ -54,6 +62,8 @@ class Graph:
     __slots__ = ("_masks",)
 
     def __init__(self, n: int, adj: np.ndarray):
+        import numpy as np
+
         if n < 1:
             raise GraphInputError(f"vertex count must be positive, got {n}")
         adj = np.asarray(adj, dtype=bool)
@@ -149,6 +159,8 @@ class BipartiteGraph:
 
     def __init__(self, nx: int, ny: int, biadj: np.ndarray,
                  join_split: tuple[int, int] | None = None):
+        import numpy as np
+
         if nx < 0 or ny < 0:
             raise GraphInputError("part sizes must be nonnegative")
         self._ny, self._join_split = ny, join_split

@@ -29,10 +29,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GraphInputError
+from .errors import DEFAULT_TOL, ConvergenceError, DomainError, GraphInputError
 from .graphs import Graph, _bits, _components, _mask_rows, _row_masks
-
-DEFAULT_TOL = 1e-10
 
 # Inverse-iteration solves allowed per block before the certificate fails.
 MAX_SOLVES = 3

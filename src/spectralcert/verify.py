@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .certifiers import PerfectMatching, find_k_tree, perfect_matching
-from .errors import ConvergenceError, GraphInputError
+from .errors import DEFAULT_MARGIN, ConvergenceError, GraphInputError
 from .families import (
     is_ktree_extremal,
     is_matching_extremal,
@@ -72,7 +72,6 @@ from .graphs import (
 from .smallgraphs import canonical_form, connected_graphs
 from .spectral import DEFAULT_TOL, a_matrix, das_bound, hong_bound, spectral_radius
 
-DEFAULT_MARGIN = 1e-8
 DRAWS_PER_GRAPH = 1000
 CHUNKS_PER_WORKER = 4
 # matrix entries per eigensolver stack: bounds the memory of one call

@@ -218,6 +218,21 @@ def test_k_tree_search_does_not_recurse(monkeypatch):
     assert cert is not None and is_valid_ktree(g, 2, cert)
 
 
+def test_k_tree_feasibility_tested_only_after_an_edge_is_lost(monkeypatch):
+    from spectralcert import certifiers
+
+    calls = []
+    reach = certifiers._reach
+    monkeypatch.setattr(certifiers, "_reach",
+                        lambda *args: calls.append(1) or reach(*args))
+    # adding a path edge never fills a vertex that keeps an undecided edge,
+    # so only the root node tests; is_connected reaches through graphs._reach
+    g = path_graph(1100)
+    cert = find_k_tree(g, 2)
+    assert cert is not None and is_valid_ktree(g, 2, cert)
+    assert len(calls) == 1
+
+
 def test_win_violator_on_extremal_graph():
     for n, k in [(8, 3), (12, 4)]:
         g = ktree_extremal(n, k)

@@ -368,3 +368,42 @@ def test_verify_rejected_arguments_print_no_seed(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         _one_error_line(captured.err)
+
+
+def test_certify_and_gen_family_do_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        (["certify", "win", "--k", "2", _g6(path_graph(5))], 0),
+        (["certify", "ktree", "--k", "2", _g6(cycle_graph(5))], 0),
+        (["certify", "matching", _g6(cycle_graph(4))], 0),
+        (["gen-family", "ktree", "--n", "8", "--k", "3"], 0),
+        (["gen-family", "win", "--s", "2", "--parts", "3,1,1"], 0),
+        (["gen-family", "matching", "--n", "3", "--s", "1"], 0),
+        (["certify", "ktree", "--k", "two", "C~"], 1),
+    ]
+    # one fresh interpreter: is numpy loaded after the import, after each
+    # run, and (the control) after importing the eigensolver module?
+    probe = (
+        "import sys\n"
+        "import spectralcert\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "from spectralcert.cli import main\n"
+        f"for argv, code in {runs!r}:\n"
+        "    assert main(argv) == code, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "import spectralcert.spectral\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str([False] * (1 + len(runs)) + [True])
