@@ -392,7 +392,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="threshold comparison margin")
     p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="parallel workers for stream harnesses")
+                   help="parallel workers for stream harnesses, on one fork pool "
+                        "per process: started on first use, shut down at exit")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized streams")
     p.set_defaults(fn=_cmd_verify)
     return parser

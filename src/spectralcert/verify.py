@@ -22,9 +22,14 @@ decoded and filtered on its own; the in-scope graphs go through one
 ``_radii`` call; then each in-scope item is classified on its own, so
 certifiers and recognizers run only where a verdict needs them.  A chunk
 that meets an error (a graph6 defect, an uncertified eigenpair) raises the
-one of the lowest stream index.  One worker runs the stream as one chunk;
-more workers split it into a few contiguous chunks each, and the rows are
-joined in stream order.  The monotonicity sweeps and the edge-deletion
+one of the lowest stream index.  One worker runs the stream as one chunk
+in the calling process.  More workers split it into a few contiguous chunks
+each, run on one pool of fork workers per process, and the rows are joined
+in stream order.  The pool starts on the first call with more than one
+worker and is reused while the worker count and the process stay the same;
+it is rebuilt when a worker has died and shut down at exit.  Its workers
+see the package as it was when the pool started, so a monkeypatch made
+later does not reach them.  The monotonicity sweeps and the edge-deletion
 check build every graph of their grid first, make one ``_radii`` call, and
 then emit their rows in grid order.
 
@@ -35,9 +40,12 @@ certifier outcome).  Worker counts only change scheduling, never results.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
@@ -168,15 +176,55 @@ def _finalize(theorem_id: str, population: str, rows: list[dict],
 
 def _map_items(fn, items: Sequence, workers: int) -> list:
     """fn maps a contiguous chunk of items to its rows; the rows of every
-    chunk, in stream order."""
+    chunk, in stream order.
+
+    More than one worker runs the chunks on the process's pool of fork
+    workers.  It starts on the first such call, is reused while the worker
+    count and the process stay the same, is rebuilt when a worker has died,
+    and is shut down at exit.  Its workers see the package as it was when
+    the pool started: a monkeypatch made later does not reach them."""
     if workers <= 1:
         return fn(items)
-    from concurrent.futures import ProcessPoolExecutor
-
     size = max(1, -(-len(items) // (workers * CHUNKS_PER_WORKER)))
     chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(fn, chunks) for row in rows]
+    # map submits every chunk before it returns, so a pool replaced by
+    # another thread still finishes them
+    with _pool_lock:
+        results = _worker_pool(workers).map(fn, chunks)
+    return [row for rows in results for row in rows]
+
+
+# this process's worker pool, as (creating pid, worker count, executor)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int):
+    """The pool of `workers` workers (see _map_items); a forked child never
+    uses its parent's."""
+    global _pool
+    if _pool is not None:
+        pid, count, pool = _pool
+        # _broken is set once the pool has noticed a worker die
+        if (pid, count) == (os.getpid(), workers) and not pool._broken:
+            return pool
+        _close_pool()
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    _pool = (os.getpid(), workers, pool)
+    return pool
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the pool down, while the modules its clean-up needs are still
+    loaded; a forked child only drops its parent's pool."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
 
 
 def _radii(graphs: Sequence[Graph], weights: tuple[float, ...],

@@ -3,17 +3,26 @@
 import ast
 import hashlib
 import json
+import multiprocessing
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectralcert
 from spectralcert.errors import ConvergenceError, Graph6ParseError, GraphInputError
 from spectralcert.families import ktree_extremal, matching_extremal, win_family
 from spectralcert.graphs import complete_graph, from_graph6, path_graph, star_graph, to_graph6
-from spectralcert.spectral import a_matrix, spectral_radius
+from spectralcert.spectral import DEFAULT_TOL, a_matrix, spectral_radius
 from spectralcert.verify import (
     CONFIRMED,
     EXTREMAL,
@@ -409,3 +418,109 @@ def test_sweeps_raise_the_first_failure_in_row_order():
             assert str(info.value) == str(want)
             assert ((info.value.radius, info.value.residual, info.value.iterations)
                     == (want.radius, want.residual, want.iterations))
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_worker_pool_is_reused_until_the_worker_count_changes():
+    stream = connected_corpus_stream(4, 5)
+    want = verify_bounds(stream, workers=1).to_json()
+    assert verify_bounds(stream, workers=2).to_json() == want
+    first = _worker_pids()
+    assert len(first) == 2
+    assert verify_bounds(stream, workers=2).to_json() == want
+    assert _worker_pids() == first
+    assert verify_bounds(stream, workers=3).to_json() == want
+    third = _worker_pids()
+    assert len(third) == 3 and not set(third) & set(first)
+    assert all(_gone(pid) for pid in first)
+
+
+def test_worker_pool_is_rebuilt_after_a_worker_dies(tmp_path):
+    stream = connected_corpus_stream(1, 6)
+    want = _report_bytes(verify_hamilton_condition(stream, "rho", workers=1), tmp_path / "1.csv")
+    verify_hamilton_condition(stream, "rho", workers=2)
+    old = _worker_pids()
+    os.kill(old[0], signal.SIGKILL)
+    # the pool notices the death, then ends and reaps every worker
+    deadline = time.monotonic() + 30
+    while not all(_gone(pid) for pid in old):
+        assert time.monotonic() < deadline, "the pool never noticed its dead worker"
+        time.sleep(0.01)
+    par = verify_hamilton_condition(stream, "rho", workers=2)
+    assert _report_bytes(par, tmp_path / "2.csv") == want
+    new = _worker_pids()
+    assert len(new) == 2 and not set(new) & set(old)
+
+
+def test_worker_pool_survives_a_failing_call(tmp_path):
+    stream = connected_corpus_stream(4, 6)
+    want = _report_bytes(verify_hamilton_condition(stream, "q", workers=1), tmp_path / "1.csv")
+    verify_hamilton_condition(stream, "q", workers=2)
+    pids = _worker_pids()
+    assert len(pids) == 2
+    failing = [(ConvergenceError, stream, 1e-300),
+               (Graph6ParseError, stream[:5] + ["Cxx"] + stream[5:], DEFAULT_TOL)]
+    for error, lines, tol in failing:
+        with pytest.raises(error):
+            verify_hamilton_condition(lines, "rho", tol=tol, workers=2)
+        par = verify_hamilton_condition(stream, "q", workers=2)
+        assert _report_bytes(par, tmp_path / "2.csv") == want
+        assert _worker_pids() == pids
+
+
+def test_worker_pool_shared_by_threads():
+    # more workers than cores, and every call may replace the pool another
+    # thread is still reading
+    stream = connected_corpus_stream(4, 5)
+    want = verify_bounds(stream, workers=1).to_json()
+    results = []
+
+    def calls(workers):
+        for _ in range(4):
+            results.append(verify_bounds(stream, workers=workers).to_json())
+
+    threads = [threading.Thread(target=calls, args=(w,)) for w in (2, 3, 2, 3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert results == [want] * 16
+
+
+@pytest.mark.parametrize("args", [
+    # sys keeps the module to the last stage of interpreter teardown, as a
+    # test runner's plugins may: a pool still referenced there is collected
+    # after the modules its clean-up needs
+    ["-c", "import sys\n"
+           "from spectralcert import verify\n"
+           "stream = verify.connected_corpus_stream(4, 5)\n"
+           "for _ in range(2):\n"
+           "    assert verify.verify_bounds(stream, workers=2).ok\n"
+           "sys.kept = verify\n"],
+    ["-m", "spectralcert.cli", "verify", "matching", "--nx", "3", "--delta", "1",
+     "--a", "0", "--workers", "2"],
+])
+def test_worker_pool_ends_cleanly_at_exit(args):
+    env = dict(os.environ)
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and stderr == ""
+    # no worker outlives the interpreter: its process group is empty
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
