@@ -16,7 +16,8 @@ nonexistence within the stated caps.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
   lexicographically, so it is a smallest one.  Components are counted only
-  from the boundary N(S) - S, which meets every one of them.
+  from the boundary N(S) - S, which meets every one of them, and the search
+  stops at the first size whose bound reaches the independence number.
 * ``perfect_matching``: augmenting-path maximum matching, each path found
   by a depth-first search on an explicit stack, so no path is too long for
   the interpreter's recursion limit; on failure the X-side vertices
@@ -233,12 +234,14 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
     """Some S with c(G - S) > (k-2)|S| + 2, or None if no subset violates.
 
     Exhaustive over all nonempty subsets in increasing size, and
-    lexicographically within a size (sizes above (n-3)/(k-1) cannot violate
-    and are skipped), so the violator returned is the lexicographically
-    first of the smallest ones.  G is connected, so every component of
-    G - S holds a vertex of the boundary N(S) - S: a set with too small a
-    boundary is skipped, and components are counted from the boundary only
-    until the count is decided.
+    lexicographically within a size, so the violator returned is the
+    lexicographically first of the smallest ones.  Sizes above (n-3)/(k-1)
+    cannot violate, nor can any size from the first s with
+    (k-2)s + 2 >= alpha(G) on: one vertex from each component of G - S
+    gives an independent set, so c(G - S) <= alpha(G).  G is connected, so
+    every component of G - S holds a vertex of the boundary N(S) - S: a set
+    with too small a boundary is skipped, and components are counted from
+    the boundary only until the count is decided.
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -249,8 +252,11 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
     n = g.n
     masks = g.neighbor_masks
     full = (1 << n) - 1
+    alpha = _independence_number(masks)
     for s in range(1, (n - 3) // (k - 1) + 1):
         bound = (k - 2) * s + 2
+        if bound >= alpha:
+            break
         for sel in combinations(range(n), s):
             removed = touched = 0
             for v in sel:
@@ -269,6 +275,35 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
                 if c + boundary.bit_count() <= bound:
                     break
     return None
+
+
+def _independence_number(masks: tuple[int, ...]) -> int:
+    """Size of a largest independent set, by branch and bound on an explicit
+    stack.  Each node takes a candidate v of least candidate degree d: if
+    d <= 1, some largest independent set of the candidates holds v, so v is
+    taken; otherwise every largest one meets N[v] (or v could join it), so
+    the node branches on the candidates in N[v].
+    """
+    best = 0
+    stack = [((1 << len(masks)) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        v, least = -1, len(masks)
+        for u in _bits(cand):
+            d = (masks[u] & cand).bit_count()
+            if d < least:
+                v, least = u, d
+                if d <= 1:
+                    break
+        branches = 1 << v if least <= 1 else cand & (masks[v] | 1 << v)
+        for u in _bits(branches):
+            stack.append((cand & ~masks[u] & ~(1 << u), size + 1))
+    return best
 
 
 # ---------------------------------------------------------------------------

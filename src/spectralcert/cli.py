@@ -158,10 +158,15 @@ def _bipartition(g: Graph) -> BipartiteGraph:
 
 
 def _cmd_spectral(args) -> int:
-    from .spectral import a_matrix, das_bound, hong_bound, spectral_radius
+    from .spectral import _solve_by_order, das_bound, hong_bound
 
-    for g in _read_graphs(args.source):
-        result = spectral_radius(a_matrix(g, args.a), args.tol)
+    graphs = _read_graphs(args.source)
+    solved, failures = _solve_by_order(graphs, args.a, args.tol)
+    # print in stream order up to the first graph whose eigensolve failed
+    for i, g in enumerate(graphs):
+        if i not in solved:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        radius, residual = solved[i]
         try:
             hong = f"{hong_bound(g):.12g}"
         except GraphInputError:
@@ -171,7 +176,7 @@ def _cmd_spectral(args) -> int:
         except GraphInputError:
             das = "NA"
         print(f"graph6={to_graph6(g).decode()} n={g.n} m={g.m} a={args.a:g} "
-              f"rho_a={result.radius:.12g} residual={result.residual:.3e} "
+              f"rho_a={radius:.12g} residual={residual:.3e} "
               f"hong={hong} das={das}")
     return EXIT_OK
 
@@ -373,7 +378,8 @@ def _build_parser() -> _Parser:
                                       "matching", "matching-sqrt", "cut-monotone",
                                       "matching-monotone", "edge-deletion", "bounds"])
     p.add_argument("--stream", type=str, default=None,
-                   help="graph6 file or - for stdin (default: internal corpus)")
+                   help="graph6 file or - for stdin (default: the internal corpus of "
+                        "every connected graph with --min-n to --max-n vertices)")
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--max-s", type=int, default=4)

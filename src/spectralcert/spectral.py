@@ -14,6 +14,8 @@ most tol * max(1, r); only the blocks still above that bound are solved
 again.  Each member gets the maximum over its blocks, with the winning
 Perron vector zero-padded, and the same bits as if it were solved alone.
 ``iterations`` counts the linear solves over every block of every member.
+``_solve_by_order`` is how callers solve a list of graphs: one stack per
+order, split to bound memory, for ``verify._radii`` and ``cli spectral``.
 
 Also provides the classical edge-count bounds on the two spectral radii,
 quotient matrices of vertex partitions, and the largest real eigenvalue of
@@ -34,6 +36,8 @@ from .graphs import Graph, _bits, _components, _mask_rows, _row_masks
 
 # Inverse-iteration solves allowed per block before the certificate fails.
 MAX_SOLVES = 3
+# Matrix entries per stack in _solve_by_order, to bound one call's memory.
+STACK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,37 @@ def spectral_radius(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralResult:
         return SpectralResult(radius=float(radius[0]), vector=vector[0],
                               residual=float(residual[0]), iterations=total)
     return SpectralResult(radius=radius, vector=vector, residual=residual, iterations=total)
+
+
+def _solve_by_order(graphs: Sequence[Graph], a: float, tol: float
+                    ) -> tuple[dict[int, tuple[float, float]], list[tuple[int, ConvergenceError]]]:
+    """(radius, residual) of a*D + A for the graphs, keyed by index in `graphs`.
+
+    One spectral_radius call per order, on the stack of that order's
+    matrices (split above STACK_ENTRIES matrix entries), so each member gets
+    the bits it would get alone.  A failing stack adds (index, error) for
+    its first failing member, is solved again without that member and the
+    ones after it, and leaves those unsolved.
+    """
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    solved: dict[int, tuple[float, float]] = {}
+    failures: list[tuple[int, ConvergenceError]] = []
+    for n, members in by_order.items():
+        step = max(1, STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            while part:
+                try:
+                    result = spectral_radius(a_matrix([graphs[i] for i in part], a), tol)
+                except ConvergenceError as exc:
+                    failures.append((part[exc.member], exc))
+                    part = part[:exc.member]
+                    continue
+                solved.update(zip(part, zip(result.radius.tolist(), result.residual.tolist())))
+                break
+    return solved, failures
 
 
 def rho_a(g: Graph, a: float, tol: float = DEFAULT_TOL) -> float:

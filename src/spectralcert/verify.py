@@ -78,12 +78,10 @@ from .graphs import (
     to_graph6,
 )
 from .smallgraphs import canonical_form, connected_graphs
-from .spectral import DEFAULT_TOL, a_matrix, das_bound, hong_bound, spectral_radius
+from .spectral import DEFAULT_TOL, _solve_by_order, das_bound, hong_bound
 
 DRAWS_PER_GRAPH = 1000
 CHUNKS_PER_WORKER = 4
-# matrix entries per eigensolver stack: bounds the memory of one call
-STACK_ENTRIES = 1 << 21
 
 VACUOUS = "vacuous"
 CONFIRMED = "confirmed"
@@ -232,27 +230,17 @@ def _radii(graphs: Sequence[Graph], weights: tuple[float, ...],
     """Each graph's radius of a*D + A at each weight a, in weight order.
 
     One spectral_radius call per order and weight, on the stack of that
-    order's matrices (split only above STACK_ENTRIES matrix entries).  When
-    eigensolves fail, the ConvergenceError of the lowest (index, weight)
-    pair is raised, with ``member`` set to that index in `graphs`.
+    order's matrices (``spectral._solve_by_order``).  When eigensolves fail,
+    the ConvergenceError of the lowest (index, weight) pair is raised, with
+    ``member`` set to that index in `graphs`.
     """
     radii: list[list[float]] = [[] for _ in graphs]
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
     errors = []
-    for n, members in by_order.items():
-        step = max(1, STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), step):
-            part = members[start:start + step]
-            for slot, a in enumerate(weights):
-                try:
-                    result = spectral_radius(a_matrix([graphs[i] for i in part], a), tol)
-                except ConvergenceError as exc:
-                    errors.append((part[exc.member], slot, exc))
-                    continue
-                for i, value in zip(part, result.radius.tolist()):
-                    radii[i].append(value)
+    for slot, a in enumerate(weights):
+        solved, failures = _solve_by_order(graphs, a, tol)
+        errors += [(i, slot, exc) for i, exc in failures]
+        for i, (radius, _) in solved.items():
+            radii[i].append(radius)
     if errors:
         i, _, exc = min(errors, key=lambda error: error[:2])
         raise ConvergenceError(*exc.args[:4], member=i)

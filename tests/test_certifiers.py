@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from spectralcert.certifiers import (
     KTreeCertificate,
     PerfectMatching,
     WinViolator,
+    _independence_number,
     certificate_to_json,
     count_perfect_matchings_brute,
     find_k_tree,
@@ -393,3 +395,20 @@ def test_search_determinism():
     assert find_k_tree(h, 2) == find_k_tree(h, 2)
     b = matching_extremal(5, 2)
     assert perfect_matching(b) == perfect_matching(b)
+
+
+def test_win_search_stops_at_the_independence_number():
+    # alpha(K20) = 1, so no set can leave more than 2 components; the full
+    # size-by-size search took seconds here
+    start = time.perf_counter()
+    assert find_win_violator(complete_graph(20), 2) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_independence_number_matches_brute_force_on_corpus():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            masks = g.neighbor_masks
+            brute = max(len(s) for r in range(n + 1) for s in combinations(range(n), r)
+                        if not any(masks[u] >> v & 1 for u, v in combinations(s, 2)))
+            assert _independence_number(masks) == brute

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, stdin handling."""
 
+import io
 import json
+import random
 
 import pytest
 
@@ -11,9 +13,11 @@ from spectralcert.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    from_graph6,
     path_graph,
     to_graph6,
 )
+from spectralcert.smallgraphs import connected_graphs
 
 
 def _g6(g):
@@ -52,6 +56,49 @@ def test_spectral_from_stdin(capsys, monkeypatch):
     assert main(["spectral", "-", "--a", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
+
+
+def _per_graph_spectral(lines, a, tol):
+    """Radius and residual fields from one solve per graph, up to the first
+    failure, and that failure's error line."""
+    from spectralcert.errors import ConvergenceError
+    from spectralcert.spectral import a_matrix, spectral_radius
+
+    fields = []
+    for line in lines:
+        try:
+            result = spectral_radius(a_matrix(from_graph6(line), a), tol)
+        except ConvergenceError as exc:
+            return fields, f"error: {exc}"
+        fields.append(f" rho_a={result.radius:.12g} residual={result.residual:.3e} ")
+    return fields, ""
+
+
+def test_spectral_stream_solves_one_stack_per_order(capsys, monkeypatch):
+    import spectralcert.spectral
+
+    lines = [_g6(g) for n in range(1, 7) for g in connected_graphs(n)]
+    lines.append(_g6(disjoint_union([path_graph(3), complete_graph(4)])))
+    random.Random(2).shuffle(lines)
+    calls = []
+    solve = spectralcert.spectral.spectral_radius
+    monkeypatch.setattr("spectralcert.spectral.spectral_radius",
+                        lambda m, tol: calls.append(m.shape) or solve(m, tol))
+    # 3e-16 fails some graphs partway through the stream, 1e-300 the first
+    for a, tol in [(0.0, 1e-10), (1.0, 1e-10), (0.0, 3e-16), (0.0, 1e-300)]:
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = main(["spectral", "-", "--a", f"{a:g}", "--tol", f"{tol:g}"])
+        out, err = capsys.readouterr()
+        stacks = sorted(shape[0] for shape in calls)
+        fields, error = _per_graph_spectral(lines, a, tol)
+        assert (code, err.strip()) == ((3, error) if error else (0, ""))
+        printed = out.splitlines()
+        assert len(printed) == len(fields)
+        for line, g6, expected in zip(printed, lines, fields):
+            assert line.startswith(f"graph6={g6} ") and expected in line
+        if not error:
+            assert stacks == [1, 1, 1, 2, 6, 21, 112]  # orders 1, 2, 7 (P3 + K4), 3, ...
 
 
 def test_closed_form_subcommand(capsys):

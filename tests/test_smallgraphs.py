@@ -1,6 +1,8 @@
 """Canonical forms, isomorphism testing and the exhaustive connected-graph corpus."""
 
 import hashlib
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from spectralcert.graphs import (
     path_graph,
     star_graph,
 )
-from spectralcert.smallgraphs import are_isomorphic, canonical_form, connected_graphs
+from spectralcert.smallgraphs import (
+    _corpus_classes,
+    _orbit_minima,
+    are_isomorphic,
+    canonical_form,
+    connected_graphs,
+)
 from spectralcert.verify import connected_corpus_stream
 
 
@@ -119,3 +127,74 @@ def test_connected_corpus_is_pinned():
         lines = connected_corpus_stream(1, max_n)
         assert len(lines) == count
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_canonical_forms_are_pinned():
+    # computed with the twin-only search; the automorphism prunes must not
+    # move a single code, since the Hamilton exception forms depend on them
+    forms = [canonical_form(g) for n in range(1, 8) for g in connected_graphs(n)]
+    digest = hashlib.sha256("".join(f"{n} {code}\n" for n, code in forms).encode())
+    assert digest.hexdigest() == "8341c40024cca518476fdcdd3f8ab8786dbb8af0bd76a0ccefd3b2774b64f5f7"
+
+
+def _brute_force_orbits(masks):
+    n = len(masks)
+    orbits = list(range(n))  # the least vertex of each vertex's orbit
+    for perm in itertools.permutations(range(n)):
+        if all(sum(1 << perm[u] for u in range(n) if masks[v] >> u & 1) == masks[perm[v]]
+               for v in range(n)):
+            for v in range(n):
+                orbits[perm[v]] = min(orbits[perm[v]], v)
+    return orbits
+
+
+def _generated_orbits(n, gens):
+    orbits = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for perm in gens:
+            for v in range(n):
+                if orbits[v] < orbits[perm[v]]:
+                    orbits[perm[v]] = orbits[v]
+                    changed = True
+                elif orbits[perm[v]] < orbits[v]:
+                    orbits[v] = orbits[perm[v]]
+                    changed = True
+    return orbits
+
+
+def test_corpus_generators_are_automorphisms_with_the_full_orbits():
+    for n in range(1, 7):
+        graphs, generators = _corpus_classes(n)
+        assert len(generators) == len(graphs)
+        for g, gens in zip(graphs, generators):
+            masks = g.neighbor_masks
+            for perm in gens:
+                assert sorted(perm) == list(range(n))
+                assert all(sum(1 << perm[u] for u in range(n) if masks[v] >> u & 1)
+                           == masks[perm[v]] for v in range(n))
+            assert _generated_orbits(n, gens) == _brute_force_orbits(masks)
+
+
+def test_augmentation_keeps_one_neighbor_set_per_parent_orbit():
+    # 21 * 31 = 651 and 112 * 63 = 7,056 neighbor sets without the pruning
+    for n, kept in [(6, 333), (7, 3771)]:
+        _, generators = _corpus_classes(n - 1)
+        assert sum(len(_orbit_minima(gens, n - 1)) for gens in generators) == kept
+
+
+def _complement(g):
+    return build_graph(g.n, [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                             if not g.has_edge(a, b)])
+
+
+def test_canonical_form_of_a_twin_free_graph_with_many_automorphisms():
+    # the complement of 4C5: 20 vertices, no twins, 10^4 * 4! automorphisms
+    g = _complement(disjoint_union([cycle_graph(5)] * 4))
+    start = time.perf_counter()
+    form = canonical_form(g)
+    assert time.perf_counter() - start < 1.0
+    perm = list(np.random.default_rng(13).permutation(20))
+    assert canonical_form(_permuted(g, perm)) == form
+    assert form != canonical_form(_complement(disjoint_union([cycle_graph(10)] * 2)))
