@@ -12,7 +12,12 @@ nonexistence within the stated caps.
   fragments, so a connected possibility graph gives every fragment a usable
   edge out.  The DFS branches only on live edges; dead edges (both ends in
   one fragment, or an end already at degree k) are passed over without a
-  feasibility check.
+  feasibility check.  The edges are scanned as degree-class entries, one
+  vertex u with the mask of its higher neighbours of one degree, so a whole
+  run of dead edges is passed over with one mask test against u's fragment
+  mask; entries sorted by (smaller degree, larger degree, u), bits taken in
+  ascending order, give the same edge order, so the same certificates, as
+  a scan over single edges.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
   lexicographically, so it is a smallest one.  Components are counted only
@@ -93,19 +98,29 @@ def certificate_to_json(cert: Certificate) -> dict:
 def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """A spanning tree of g with every degree <= k, or None if none exists.
 
-    Exact search; g must be connected.  Each search node tests feasibility,
-    then skips dead edges and branches (add, then exclude) on the next live
-    one, depth first on an explicit stack.  The test is that the
-    possibility graph (tree edges plus undecided edges whose ends are both
-    below degree k) is connected.  That also gives every fragment a usable
-    edge to the outside, since tree edges stay inside fragments.  The graph
-    loses edges only on an exclusion, or when an added edge fills an end
-    that still has an undecided edge to a vertex below k; every other node
-    keeps its parent's graph, and so its passing test, unrun.  Skipping
-    is exact: fragments only merge and degrees only grow below a node, so a
-    dead edge stays dead there, and the test never needs one (an edge inside
-    a fragment joins vertices the tree already connects; an edge at a full
-    vertex is not usable).
+    Exact search; g must be connected.  Edges are tried in the order
+    (smaller end degree, larger end degree, u, v), held as entries: one
+    vertex u and the mask of its neighbours v > u in one degree class.  For
+    a fixed u the class fixes both key degrees, so sorting the entries by
+    (smaller degree, larger degree, u) and taking each mask's bits in
+    ascending v gives exactly that edge order, and so the same certificates
+    as a scan over single edges.  A search position is (entry, bits left in
+    it); the next live edge is the lowest bit of the entry's mask that is
+    left, below degree k and outside u's fragment, kept as one vertex mask
+    per union-find root.
+
+    Each search node tests feasibility, then branches (add, then exclude)
+    on the next live edge, depth first on an explicit stack.  The test is
+    that the possibility graph (tree edges plus undecided edges whose ends
+    are both below degree k) is connected.  That also gives every fragment
+    a usable edge to the outside, since tree edges stay inside fragments.
+    The graph loses edges only on an exclusion, or when an added edge fills
+    an end that still has an undecided edge to a vertex below k; every
+    other node keeps its parent's graph, and so its passing test, unrun.
+    Skipping dead edges is exact: fragments only merge and degrees only
+    grow below a node, so a dead edge stays dead there, and the test never
+    needs one (an edge inside a fragment joins vertices the tree already
+    connects; an edge at a full vertex is not usable).
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -116,13 +131,21 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         return KTreeCertificate(())
 
     degs = g.degrees
-    edges = sorted(
-        g.edges(),
-        key=lambda e: (min(degs[e[0]], degs[e[1]]), max(degs[e[0]], degs[e[1]]), e))
-    m = len(edges)
+    masks = g.neighbor_masks
+    classes: dict[int, int] = {}  # degree -> vertices of that degree
+    for v, d in enumerate(degs):
+        classes[d] = classes.get(d, 0) | 1 << v
+    keyed = []
+    for u, du in enumerate(degs):
+        above = masks[u] >> u + 1 << u + 1
+        for d, cls in classes.items():
+            if above & cls:
+                keyed.append((min(du, d), max(du, d), u, above & cls))
+    entries = [(u, part) for _, _, u, part in sorted(keyed)]
+    ne = len(entries)
 
     parent = list(range(n))
-    size = [1] * n
+    frag = [1 << v for v in range(n)]  # vertices of each root's fragment
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -130,17 +153,15 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         return v
 
     tree_adj = [0] * n
-    und = [0] * n  # undecided incident edges, as neighbor bitmasks
-    for u, v in edges:
-        und[u] |= 1 << v
-        und[v] |= 1 << u
+    und = list(masks)  # undecided incident edges, as neighbor bitmasks
     full = (1 << n) - 1
     below = full  # vertices of degree < k
     chosen: list[tuple[int, int]] = []
-    # one frame per branched edge: (index, ru, rv) while its add branch is
-    # open, (index, -1, -1) once it is excluded
-    frames: list[tuple[int, int, int]] = []
-    i = 0
+    # one frame per branched edge: (entry, v, ru, rv) while its add branch
+    # is open, (entry, v, -1, -1) once it is excluded
+    frames: list[tuple[int, int, int, int]] = []
+    e = 0
+    after = -1  # bits of entry e not yet passed
     stale = True  # the possibility graph lost an edge since it last passed
     while len(chosen) < n - 1:
         # one search node: test the possibility graph, then add the next live edge
@@ -148,40 +169,45 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             possible = [t | a & below if below >> v & 1 else t
                         for v, (t, a) in enumerate(zip(tree_adj, und))]
             stale = _reach(possible, 1, full) != full
+        live = 0
         if not stale:
-            while i < m:
-                u, v = edges[i]
-                ru, rv = find(u), find(v)
-                if ru != rv and below >> u & below >> v & 1:
-                    break
-                i += 1
-        else:
-            i = m
-        if i < m:
-            und[u] &= ~(1 << v)
+            while e < ne:
+                u, part = entries[e]
+                if below >> u & 1:
+                    ru = find(u)
+                    live = part & after & below & ~frag[ru]
+                    if live:
+                        break
+                e += 1
+                after = -1
+        if live:
+            low = live & -live
+            v = low.bit_length() - 1
+            rv = find(v)
+            und[u] &= ~low
             und[v] &= ~(1 << u)
-            if size[ru] < size[rv]:
+            if frag[ru].bit_count() < frag[rv].bit_count():
                 ru, rv = rv, ru
             parent[rv] = ru
-            size[ru] += size[rv]
-            tree_adj[u] |= 1 << v
+            frag[ru] |= frag[rv]
+            tree_adj[u] |= low
             tree_adj[v] |= 1 << u
             lost = 0  # undecided neighbors of an end that is now full
             if tree_adj[u].bit_count() == k:
                 below &= ~(1 << u)
                 lost |= und[u]
             if tree_adj[v].bit_count() == k:
-                below &= ~(1 << v)
+                below &= ~low
                 lost |= und[v]
             stale = lost & below != 0
             chosen.append((u, v))
-            frames.append((i, ru, rv))
-            i += 1
+            frames.append((e, v, ru, rv))
+            after = -(2 << v)
             continue
         # this node failed: undo to the deepest add branch, then exclude it
         while frames:
-            i, ru, rv = frames.pop()
-            u, v = edges[i]
+            e, v, ru, rv = frames.pop()
+            u = entries[e][0]
             if rv < 0:
                 und[u] |= 1 << v
                 und[v] |= 1 << u
@@ -191,9 +217,9 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             tree_adj[v] &= ~(1 << u)
             below |= 1 << u | 1 << v
             parent[rv] = rv
-            size[ru] -= size[rv]
-            frames.append((i, -1, -1))
-            i += 1
+            frag[ru] &= ~frag[rv]
+            frames.append((e, v, -1, -1))
+            after = -(2 << v)
             stale = True
             break
         else:
@@ -202,12 +228,15 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
 
 
 def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
-    """Re-validate a witness: spanning, acyclic, connected, degrees <= k."""
+    """Re-validate a witness: spanning, acyclic, connected, degrees <= k.
+    An edge whose ends are not ints in 0..n-1 makes it invalid."""
+    n = g.n
     edges = cert.edges
-    if len(edges) != g.n - 1 or len(set(edges)) != len(edges):
+    if len(edges) != n - 1:
         return False
-    deg = [0] * g.n
-    parent = list(range(g.n))
+    masks = g.neighbor_masks
+    deg = [0] * n
+    parent = list(range(n))
 
     def find(v):
         while parent[v] != v:
@@ -215,7 +244,8 @@ def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
         return v
 
     for u, v in edges:
-        if not g.has_edge(u, v):
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
+                and masks[u] >> v & 1):
             return False
         deg[u] += 1
         deg[v] += 1

@@ -50,8 +50,11 @@ def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
     """Column j of the bit matrix with rows `masks`, as a mask over the rows."""
     cols = [0] * width
     for i, mask in enumerate(masks):
-        for j in _bits(mask):
-            cols[j] |= 1 << i
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
     return tuple(cols)
 
 

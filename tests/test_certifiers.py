@@ -104,6 +104,53 @@ def test_k_tree_certificates_unchanged_on_corpus():
     assert digest == "162e5734e5affdea13a0ea8e4d9ee4d527a891e096297c30774346c567d5037f"
 
 
+def _random_connected(rng, n, p):
+    while True:
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        g = Graph(n, upper | upper.T)
+        if is_connected(g):
+            return g
+
+
+def test_k_tree_certificates_unchanged_on_dense_graphs():
+    # the n <= 7 corpus has about 1.4 edges per (vertex, degree class) entry
+    # of the search; dense G(n, p) has about 5, so this pins the order in
+    # which edges inside one entry are tried.  k = 2 stays on n <= 16: on
+    # larger sparse graphs that search can run for minutes.
+    rng = np.random.default_rng(14)
+    pairs = []
+    for n in (22, 40, 60):
+        pairs.append((ktree_extremal(n, 3), 3))
+        for p in (0.9, 0.95, 0.98):
+            for _ in range(3):
+                pairs.append((_random_connected(rng, n, p), 3))
+    for n in range(10, 17):
+        for p in (0.3, 0.4, 0.5):
+            for _ in range(3):
+                g = _random_connected(rng, n, p)
+                pairs.extend((g, k) for k in (2, 3, 4))
+    rows = []
+    for g, k in pairs:
+        cert = find_k_tree(g, k)
+        if cert is not None:
+            assert is_valid_ktree(g, k, cert)
+        rows.append(None if cert is None else certificate_to_json(cert))
+    assert len(rows) == 219
+    assert sum(r is not None for r in rows) == 212
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "a3df8bfca650dbb70c0d2482f2f8e99c0f5eeaac37759d9bbe93ad799be04e73"
+
+
+def test_k_tree_validator_rejects_bad_endpoints():
+    g = path_graph(2)
+    assert is_valid_ktree(g, 2, KTreeCertificate(((0, 1),)))
+    for edge in ((0, 5), (5, 0), (-1, 1), (0, -1), (0, 1.0), (1.0, 0), (0, "1"),
+                 (0, True), (0, None), (0, [1])):
+        assert not is_valid_ktree(g, 2, KTreeCertificate((edge,)))
+    assert not is_valid_ktree(path_graph(3), 2, KTreeCertificate(((0, 1), (1, 3))))
+    assert not is_valid_ktree(path_graph(3), 2, KTreeCertificate(((0, 1), (0, 1))))
+
+
 def test_win_violators_unchanged_on_corpus():
     # pins the violator returned, the lexicographically first smallest one,
     # on every pair of the connected n <= 7 corpus and k in {2, 3, 4}
