@@ -10,14 +10,25 @@ only by the array constructors ``Graph(n, adj)`` and
 ``BipartiteGraph(nx, ny, biadj)`` and by the ``adj``/``biadj`` views, so the
 mask-only paths (graph6, the certifiers) run without it.
 
-The only interchange format is graph6 (6-bit big-endian packing of the upper
-triangle in column order, header byte n+63 for n <= 62, '~'-prefixed 18-bit
-header beyond).
+The only interchange format is graph6 (McKay, "graph6 and sparse6 formats"):
+a header byte n+63 for n <= 62, or '~' and an 18-bit length beyond, then the
+upper triangle in column order, six bits a byte, most significant first,
+plus 63.  Those payload bytes are base64 with its alphabet moved to
+63..126, so both directions run through one ``bytes.translate`` and the
+built-in ``binascii``.  The decoder lays the triangle out as a W-by-W bit
+matrix in one int and ORs it with its transpose, made by log2(W) delta
+swaps (Warren, Hacker's Delight, 2nd ed., 7-3); the encoder cuts the
+columns from the masks' binary string.  No loop runs per bit or per byte
+unless a line is malformed, when ``_g6_bits`` names the first bad byte.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+import binascii
+import functools
+from itertools import repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import Graph6ParseError, GraphInputError
 
@@ -26,10 +37,17 @@ if TYPE_CHECKING:
 
 
 def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an integer bitmask (bit j set iff row[j])."""
+    """Each row of a boolean matrix as an integer bitmask (bit j set iff row[j]).
+
+    Rows of at most 64 bits are read as one little-endian uint64 each, in one
+    ``tolist`` call."""
     import numpy as np
 
     packed = np.packbits(rows, axis=1, bitorder="little")
+    if rows.shape[1] <= 64:
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        return tuple(words.view("<u8").ravel().tolist())
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
@@ -38,9 +56,12 @@ def _mask_rows(masks: Sequence[int], width: int) -> np.ndarray:
     columns whose row i holds the bits of masks[i]."""
     import numpy as np
 
-    nbytes = (width + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                           dtype=np.uint8).reshape(len(masks), nbytes)
+    if width <= 64:
+        packed = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+    else:
+        nbytes = (width + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                               dtype=np.uint8).reshape(len(masks), nbytes)
     rows = np.unpackbits(packed, axis=1, count=width, bitorder="little").view(bool)
     rows.flags.writeable = False
     return rows
@@ -428,6 +449,11 @@ _G6_MAX_LONG = 258047  # 18-bit length form
 # the six payload bits of each byte value, most significant first; None
 # outside the printable graph6 range 63..126
 _G6_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else None for c in range(256)]
+# graph6 byte c carries the six bits of base64 digit c - 63; every byte
+# outside 63..126 becomes "!", which is no base64 digit
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes(_B64[c - 63] if 63 <= c <= 126 else 33 for c in range(256))
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 
 
 def _g6_header(n: int) -> bytes:
@@ -447,19 +473,105 @@ def _g6_bits(data: bytes, start: int, what: str) -> str:
     return "".join(chunks)
 
 
+class _G6Layout(NamedTuple):
+    """Where the payload bits of an n-vertex graph sit in a W-by-W bit matrix
+    held in one int (bit W*r + c is entry (r, c)).  W is the least power of
+    two >= max(n, 8), so every row is whole bytes.  Each cutter is an
+    ``itemgetter`` of slices that cuts all its pieces in one call, plus one
+    empty slice so that it returns a tuple even when n = 1."""
+
+    w: int
+    # from the decoder's "0b1"-prefixed bit string (payload bits, then W
+    # zeros): rows n-1 down to 0 of the lower triangle, highest bit first,
+    # row j being column j of the upper triangle reversed after W - j zeros
+    triangle: Callable[[str], tuple[str, ...]]
+    # from the matrix's little-endian bytes: rows 0..n-1, then b""
+    rows: Callable[[bytes], tuple[bytes, ...]]
+    # from the encoder's binary string of the n rows, 8 * ceil(n / 8) bits
+    # each: the payload bits, column j of the upper triangle being the low j
+    # bits of row j
+    columns: Callable[[str], tuple[str, ...]]
+
+
+@functools.lru_cache(maxsize=8)
+def _g6_layout(n: int) -> _G6Layout:
+    w = 8
+    while w < n:
+        w *= 2
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    zeros = 3 + 24 * ((nbytes + 3) // 4)  # past the bits a2b_base64 returns
+    triangle: list[slice] = []
+    for j in range(n - 1, -1, -1):
+        t = 3 + j * (j - 1) // 2
+        triangle += [slice(zeros, zeros + w - j), slice(t + j - 1, t - 1, -1)]
+    wb, stride = w // 8, 8 * ((n + 7) // 8)
+    top = n * stride - 1
+    return _G6Layout(
+        w, itemgetter(*triangle, slice(0)),
+        itemgetter(*(slice(k, k + wb) for k in range(0, n * wb, wb)), slice(0)),
+        itemgetter(*(slice(top - j * stride, top - j * stride - j, -1) for j in range(1, n)),
+                   slice(0)))
+
+
+@functools.lru_cache(maxsize=2)
+def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps that transpose a W-by-W bit matrix held in one int
+    (bit r*W + c is entry (r, c)); Warren, Hacker's Delight, 2nd ed., 7-3.
+
+    At block size s the entries with r & s == 0 and c & s != 0 trade places
+    with those s*(W - 1) bits above them; each mask is built by doubling.
+    """
+    swaps = []
+    s = w >> 1
+    while s:
+        mask, span = ((1 << s) - 1) << s, 2 * s  # the columns with c & s
+        while span < w:
+            mask, span = mask | mask << span, 2 * span
+        span = 1
+        while span < s:  # the first s rows
+            mask, span = mask | mask << span * w, 2 * span
+        span = 2 * s * w
+        while span < w * w:  # every other run of s rows
+            mask, span = mask | mask << span, 2 * span
+        swaps.append((s * (w - 1), mask))
+        s >>= 1
+    return tuple(swaps)
+
+
 def to_graph6(g: Graph) -> bytes:
-    """Canonical graph6 encoding (zero padding bits).  Column j of the upper
-    triangle is the low j bits of neighbor_masks[j], lowest first."""
+    """Canonical graph6 encoding (zero padding bits).
+
+    Column j of the upper triangle is the low j bits of neighbor_masks[j],
+    lowest first.  The masks are packed whole bytes a row into one integer
+    and the columns cut from its binary string (``_G6Layout``); the payload
+    bits, read as one big-endian integer, are written by ``b2a_base64``,
+    whose digits one ``bytes.translate`` moves to graph6's bytes 63..126.
+    """
     masks = g.neighbor_masks
-    bits = "".join(format(masks[j] & (1 << j) - 1, f"0{j}b")[::-1]
-                   for j in range(1, len(masks)))
-    bits += "0" * (-len(bits) % 6)
-    return _g6_header(len(masks)) + bytes(int(bits[p:p + 6], 2) + 63
-                                          for p in range(0, len(bits), 6))
+    n = len(masks)
+    header = _g6_header(n)
+    columns = _g6_layout(n).columns
+    wb = (n + 7) // 8
+    packed = int.from_bytes(b"".join([mask.to_bytes(wb, "little") for mask in masks]), "little")
+    stream = "".join(columns(format(packed, f"0{8 * wb * n}b")))
+    pad = -len(stream) % 24  # whole base64 quanta, so no "=" is written
+    raw = (int(stream or "0", 2) << pad).to_bytes((len(stream) + pad) // 8, "big")
+    digits = binascii.b2a_base64(raw, newline=False)[:(len(stream) + 5) // 6]
+    return header + digits.translate(_B64_TO_G6)
 
 
 def from_graph6(text: bytes | str) -> Graph:
-    """Decode one graph6 line (optionally prefixed with '>>graph6<<')."""
+    """Decode one graph6 line (optionally prefixed with '>>graph6<<').
+
+    The payload is base64 with its digits moved to bytes 63..126, so one
+    ``bytes.translate`` and ``a2b_base64`` give its bits.  Those are laid
+    out as a lower-triangular W-by-W bit matrix in one integer, row j
+    holding vertex j's neighbours below it; ORed with its transpose (delta
+    swaps, see ``_transpose_swaps``) its rows are the neighbour masks.
+    ``a2b_base64`` skips bytes it does not know, so out-of-range bytes are
+    translated to "!" and found by one ``in`` test; only then does
+    ``_g6_bits`` walk the payload to report the first one and its offset.
+    """
     if isinstance(text, str):
         try:
             data = text.encode("ascii")
@@ -488,11 +600,19 @@ def from_graph6(text: bytes | str) -> Graph:
     if len(body) != nbytes:
         raise Graph6ParseError(
             f"expected {nbytes} payload bytes for n={n}, got {len(body)}", pos + min(len(body), nbytes))
-    bits = _g6_bits(data, pos, "payload")
-    if "1" in bits[nbits:]:
-        raise Graph6ParseError("nonzero padding bits", pos + bits.index("1", nbits) // 6)
-    # cols[j][i] is the bit of edge ij for i < j, and "0" for i >= j: vertex
-    # i's neighbors below it are its column, those above it its row
-    cols = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
-    return Graph._from_masks(tuple(int(col[::-1], 2) | int("".join(row)[::-1], 2)
-                                   for col, row in zip(cols, zip(*cols))))
+    digits = body.translate(_G6_TO_B64)
+    if b"!" in digits:
+        _g6_bits(data, pos, "payload")  # raises, naming the first bad byte
+    if nbytes and body[-1] - 63 & (1 << 6 * nbytes - nbits) - 1:
+        raise Graph6ParseError("nonzero padding bits", len(data) - 1)
+    w, triangle, rows, _ = _g6_layout(n)
+    raw = binascii.a2b_base64(digits + b"A" * (-nbytes % 4))
+    # "0b1", the payload bits, then W zeros: the 1 keeps the leading zeros
+    bits = bin(int.from_bytes(b"\1" + raw + bytes(w // 8), "big"))
+    lower = int("".join(triangle(bits)), 2)
+    matrix = lower
+    for shift, mask in _transpose_swaps(w):
+        t = (matrix >> shift ^ matrix) & mask
+        matrix ^= t ^ t << shift
+    packed = (lower | matrix).to_bytes(w * w // 8, "little")
+    return Graph._from_masks(tuple(map(int.from_bytes, rows(packed), repeat("little")))[:n])

@@ -293,3 +293,43 @@ def test_graph6_bytes_are_pinned():
         assert enc[0] == 126
         assert (enc[1] - 63) << 12 | (enc[2] - 63) << 6 | (enc[3] - 63) == n
     assert enc[:4] == b"~?Fs"
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
+def test_packed_rows_round_trip_at_word_boundaries(width):
+    from spectralcert.graphs import _mask_rows, _row_masks
+
+    rng = np.random.default_rng(width)
+    for count in (0, 1, 5):
+        rows = rng.random((count, width)) < 0.5
+        rows[:, -1] |= count > 1  # the top bit of a word, in some rows
+        masks = _row_masks(rows)
+        assert masks == tuple(sum(1 << j for j in range(width) if row[j]) for row in rows)
+        assert all(type(mask) is int for mask in masks)
+        back = _mask_rows(masks, width)
+        assert back.shape == (count, width) and back.dtype == bool
+        assert not back.flags.writeable
+        assert np.array_equal(back, rows)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_a_matrix_stack_matches_dense_reference_at_the_word_width(n):
+    from spectralcert.spectral import a_matrix
+
+    rng = np.random.default_rng(n)
+    graphs = []
+    for p in (0.1, 0.5, 1.0):
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        graphs.append(Graph(n, upper | upper.T))
+    reference = np.zeros((len(graphs), n, n))
+    for b, g in enumerate(graphs):
+        for i, mask in enumerate(g.neighbor_masks):
+            for j in range(n):
+                reference[b, i, j] = mask >> j & 1
+            reference[b, i, i] = 0.5 * bin(mask).count("1")
+    stack = a_matrix(graphs, 0.5)
+    assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for b, g in enumerate(graphs):
+        assert np.array_equal(g.adj, (reference[b] != 0) & off_diagonal)
+        assert Graph(n, g.adj) == g
