@@ -21,13 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
 
 from .certifiers import (
-    BRUTE_MATCHING_CAP,
-    WIN_N_CAP,
     certificate_to_json,
     find_k_tree,
     find_win_violator,
@@ -42,42 +38,12 @@ EXIT_VIOLATIONS = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    """Numeric and capacity knobs shared by the subcommands."""
-
-    tolerance: float = DEFAULT_TOL
-    margin: float | None = DEFAULT_MARGIN  # None where no threshold is compared
-    workers: int = 1
-    seed: int = 0
-    caps: dict = field(default_factory=lambda: {"win_n_cap": WIN_N_CAP,
-                                                "brute_matching_cap": BRUTE_MATCHING_CAP})
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise GraphInputError("tolerance must be positive and finite")
-        if self.margin is not None and not self.tolerance <= self.margin < math.inf:
-            raise GraphInputError("margin must be finite and at least the tolerance")
-        if self.workers < 1:
-            raise GraphInputError("worker count must be positive")
-        if any(v <= 0 for v in self.caps.values()):
-            raise GraphInputError("caps must be positive")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that uses exit code 1 for usage errors."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("SPECTRALCERT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_tol(parser: _Parser) -> None:
@@ -158,15 +124,16 @@ def _bipartition(g: Graph) -> BipartiteGraph:
 
 
 def _cmd_spectral(args) -> int:
-    from .spectral import _solve_by_order, das_bound, hong_bound
+    from .spectral import das_bound, hong_bound, radii
 
-    graphs = _read_graphs(args.source)
-    solved, failures = _solve_by_order(graphs, args.a, args.tol)
-    # print in stream order up to the first graph whose eigensolve failed
-    for i, g in enumerate(graphs):
-        if i not in solved:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        radius, residual = solved[i]
+    graphs, failure = _read_graphs(args.source), None
+    try:
+        values, residuals = radii(graphs, (args.a,), args.tol)
+    except ConvergenceError as exc:
+        # print the graphs before the first failure, which all solve, then fail
+        graphs, failure = graphs[:exc.member], exc
+        values, residuals = radii(graphs, (args.a,), args.tol)
+    for g, (value,), (residual,) in zip(graphs, values, residuals):
         try:
             hong = f"{hong_bound(g):.12g}"
         except GraphInputError:
@@ -176,8 +143,10 @@ def _cmd_spectral(args) -> int:
         except GraphInputError:
             das = "NA"
         print(f"graph6={to_graph6(g).decode()} n={g.n} m={g.m} a={args.a:g} "
-              f"rho_a={radius:.12g} residual={residual:.3e} "
+              f"rho_a={value:.12g} residual={residual:.3e} "
               f"hong={hong} das={das}")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 
@@ -397,7 +366,7 @@ def _build_parser() -> _Parser:
     _add_tol(p)
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="threshold comparison margin")
-    p.add_argument("--workers", type=int, default=_default_workers(),
+    p.add_argument("--workers", type=int, default=1,
                    help="parallel workers for stream harnesses, on one fork pool "
                         "per process: started on first use, shut down at exit")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized streams")
@@ -412,9 +381,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "tol"):
-            RunConfig(tolerance=args.tol, margin=getattr(args, "margin", None),
-                      workers=getattr(args, "workers", 1))
+        if hasattr(args, "tol") and not 0 < args.tol < math.inf:
+            raise GraphInputError("tolerance must be positive and finite")
+        if hasattr(args, "margin") and not args.tol <= args.margin < math.inf:
+            raise GraphInputError("margin must be finite and at least the tolerance")
+        if getattr(args, "workers", 1) < 1:
+            raise GraphInputError("worker count must be positive")
         return args.fn(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

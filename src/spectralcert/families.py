@@ -158,8 +158,8 @@ def matching_quotient_matrix(n: int, s: int, a: float) -> np.ndarray:
 
     if not 1 <= s < n:
         raise GraphInputError(f"need 1 <= s < n, got s={s}, n={n}")
-    if a < 0:
-        raise GraphInputError(f"diagonal weight must be nonnegative, got {a}")
+    if not 0 <= a < math.inf:
+        raise GraphInputError(f"diagonal weight must be nonnegative and finite, got {a}")
     s_, n_ = float(s), float(n)
     return np.array([
         [a * s_, 0.0, s_, 0.0],

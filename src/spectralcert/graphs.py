@@ -18,8 +18,8 @@ plus 63.  Those payload bytes are base64 with its alphabet moved to
 built-in ``binascii``.  The decoder lays the triangle out as a W-by-W bit
 matrix in one int and ORs it with its transpose, made by log2(W) delta
 swaps (Warren, Hacker's Delight, 2nd ed., 7-3); the encoder cuts the
-columns from the masks' binary string.  No loop runs per bit or per byte
-unless a line is malformed, when ``_g6_bits`` names the first bad byte.
+columns from the masks' binary string.  No loop runs per bit or per payload
+byte.
 """
 
 from __future__ import annotations
@@ -173,29 +173,24 @@ class BipartiteGraph:
     """Immutable bipartite graph with explicit parts X (rows) and Y (columns).
 
     Stored as ``x_masks`` (each X vertex's neighbors, over the Y indices) and
-    ``ny``; ``BipartiteGraph(nx, ny, biadj)`` packs a matrix.  ``join_split``
-    optionally records the (|X1|, |Y1|) boundary left behind by
-    :func:`bipartite_join`, so family recognizers can locate the
-    construction blocks without a general isomorphism search.
+    ``ny``; ``BipartiteGraph(nx, ny, biadj)`` packs a matrix.
     """
 
-    __slots__ = ("_ny", "_x_masks", "_join_split")
+    __slots__ = ("_ny", "_x_masks")
 
-    def __init__(self, nx: int, ny: int, biadj: np.ndarray,
-                 join_split: tuple[int, int] | None = None):
+    def __init__(self, nx: int, ny: int, biadj: np.ndarray):
         import numpy as np
 
         if nx < 0 or ny < 0:
             raise GraphInputError("part sizes must be nonnegative")
-        self._ny, self._join_split = ny, join_split
+        self._ny = ny
         self._x_masks = _row_masks(np.asarray(biadj, dtype=bool).reshape(nx, ny))
 
     @classmethod
-    def _from_masks(cls, ny: int, x_masks: tuple[int, ...],
-                    join_split: tuple[int, int] | None = None) -> "BipartiteGraph":
+    def _from_masks(cls, ny: int, x_masks: tuple[int, ...]) -> "BipartiteGraph":
         """Wrap X-row masks whose bits all lie below ny."""
         b = object.__new__(cls)
-        b._ny, b._x_masks, b._join_split = ny, x_masks, join_split
+        b._ny, b._x_masks = ny, x_masks
         return b
 
     @property
@@ -215,10 +210,6 @@ class BipartiteGraph:
     def biadj(self) -> np.ndarray:
         """The nx-by-ny biadjacency matrix, built on each access and read-only."""
         return _mask_rows(self._x_masks, self._ny)
-
-    @property
-    def join_split(self) -> tuple[int, int] | None:
-        return self._join_split
 
     @property
     def m(self) -> int:
@@ -249,10 +240,10 @@ class BipartiteGraph:
             raise GraphInputError(f"bipartite edge ({x}, {y}) not present")
         masks = list(self._x_masks)
         masks[x] ^= 1 << y
-        return BipartiteGraph._from_masks(self._ny, tuple(masks), self._join_split)
+        return BipartiteGraph._from_masks(self._ny, tuple(masks))
 
     def transpose(self) -> "BipartiteGraph":
-        """Swap the two parts (provenance is dropped)."""
+        """Swap the two parts."""
         return BipartiteGraph._from_masks(self.nx, _transpose(self._x_masks, self._ny))
 
     def to_graph(self) -> Graph:
@@ -342,15 +333,13 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 def bipartite_join(b1: BipartiteGraph, b2: BipartiteGraph) -> BipartiteGraph:
     """Union of two bipartite graphs plus all edges between X2 and Y1.
 
-    Parts concatenate as X = X1 + X2 and Y = Y1 + Y2; the (|X1|, |Y1|)
-    boundary is recorded on the result.  If X2 or Y1 is empty no cross edges
-    exist and the result is the plain union.
+    Parts concatenate as X = X1 + X2 and Y = Y1 + Y2.  If X2 or Y1 is empty
+    no cross edges exist and the result is the plain union.
     """
     y1 = b1.ny
     return BipartiteGraph._from_masks(
         y1 + b2.ny,
-        b1.x_masks + tuple(mask << y1 | (1 << y1) - 1 for mask in b2.x_masks),  # X2 x Y1
-        join_split=(b1.nx, y1))
+        b1.x_masks + tuple(mask << y1 | (1 << y1) - 1 for mask in b2.x_masks))  # X2 x Y1
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +435,6 @@ def rotate_edges(g: Graph, u: int, v: int, targets: Iterable[int]) -> Graph:
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047  # 18-bit length form
-# the six payload bits of each byte value, most significant first; None
-# outside the printable graph6 range 63..126
-_G6_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else None for c in range(256)]
 # graph6 byte c carries the six bits of base64 digit c - 63; every byte
 # outside 63..126 becomes "!", which is no base64 digit
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -464,13 +450,15 @@ def _g6_header(n: int) -> bytes:
     raise GraphInputError(f"graph6 encoding supports at most {_G6_MAX_LONG} vertices")
 
 
-def _g6_bits(data: bytes, start: int, what: str) -> str:
-    """The six bits of each byte of data[start:], each byte range-checked."""
-    chunks = [_G6_BITS[c] for c in data[start:]]
-    if None in chunks:
-        i = start + chunks.index(None)
-        raise Graph6ParseError(f"{what} byte {data[i]} outside graph6 range", i)
-    return "".join(chunks)
+def _g6_digits(data: bytes, start: int, what: str) -> bytes:
+    """data[start:] as base64 digits; the first byte outside 63..126, which
+    translates to "!", is reported with its offset."""
+    digits = data[start:].translate(_G6_TO_B64)
+    bad = digits.find(b"!")
+    if bad >= 0:
+        raise Graph6ParseError(f"{what} byte {data[start + bad]} outside graph6 range",
+                               start + bad)
+    return digits
 
 
 class _G6Layout(NamedTuple):
@@ -569,8 +557,8 @@ def from_graph6(text: bytes | str) -> Graph:
     holding vertex j's neighbours below it; ORed with its transpose (delta
     swaps, see ``_transpose_swaps``) its rows are the neighbour masks.
     ``a2b_base64`` skips bytes it does not know, so out-of-range bytes are
-    translated to "!" and found by one ``in`` test; only then does
-    ``_g6_bits`` walk the payload to report the first one and its offset.
+    translated to "!" and the first one found by one ``find``, in the header
+    as in the payload.
     """
     if isinstance(text, str):
         try:
@@ -591,7 +579,10 @@ def from_graph6(text: bytes | str) -> Graph:
         if len(data) < 4:
             raise Graph6ParseError("truncated extended header", len(data))
         start, pos = 1, 4
-    n = int(_g6_bits(data[:pos], start, "header"), 2)
+    _g6_digits(data[:pos], start, "header")
+    n = 0
+    for c in data[start:pos]:  # six bits a byte, most significant first
+        n = n << 6 | c - 63
     if n < 1:
         raise Graph6ParseError("graphs must have at least one vertex", 0)
     nbits = n * (n - 1) // 2
@@ -600,9 +591,7 @@ def from_graph6(text: bytes | str) -> Graph:
     if len(body) != nbytes:
         raise Graph6ParseError(
             f"expected {nbytes} payload bytes for n={n}, got {len(body)}", pos + min(len(body), nbytes))
-    digits = body.translate(_G6_TO_B64)
-    if b"!" in digits:
-        _g6_bits(data, pos, "payload")  # raises, naming the first bad byte
+    digits = _g6_digits(data, pos, "payload")
     if nbytes and body[-1] - 63 & (1 << 6 * nbytes - nbits) - 1:
         raise Graph6ParseError("nonzero padding bits", len(data) - 1)
     w, triangle, rows, _ = _g6_layout(n)

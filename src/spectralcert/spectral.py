@@ -14,8 +14,9 @@ most tol * max(1, r); only the blocks still above that bound are solved
 again.  Each member gets the maximum over its blocks, with the winning
 Perron vector zero-padded, and the same bits as if it were solved alone.
 ``iterations`` counts the linear solves over every block of every member.
-``_solve_by_order`` is how callers solve a list of graphs: one stack per
-order, split to bound memory, for ``verify._radii`` and ``cli spectral``.
+``radii`` is how callers solve a list of graphs at a few weights: one stack
+per weight and order, split to bound memory, for every ``verify`` harness
+and ``cli spectral``.
 
 Also provides the classical edge-count bounds on the two spectral radii,
 quotient matrices of vertex partitions, and the largest real eigenvalue of
@@ -36,7 +37,7 @@ from .graphs import Graph, _bits, _components, _mask_rows, _row_masks
 
 # Inverse-iteration solves allowed per block before the certificate fails.
 MAX_SOLVES = 3
-# Matrix entries per stack in _solve_by_order, to bound one call's memory.
+# Matrix entries per stack in radii, to bound one call's memory.
 STACK_ENTRIES = 1 << 21
 
 
@@ -55,15 +56,11 @@ class SpectralResult:
 
 
 def adjacency(g: Graph) -> np.ndarray:
-    return g.adj.astype(float)
-
-
-def degree_matrix(g: Graph) -> np.ndarray:
-    return np.diag(np.asarray(g.degrees, dtype=float))
+    return a_matrix(g, 0.0)
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
-    return degree_matrix(g) + adjacency(g)
+    return a_matrix(g, 1.0)
 
 
 def a_matrix(g: Graph | Sequence[Graph], a: float) -> np.ndarray:
@@ -71,8 +68,8 @@ def a_matrix(g: Graph | Sequence[Graph], a: float) -> np.ndarray:
 
     Given a sequence of graphs of one order n, returns their (B, n, n) stack.
     """
-    if a < 0:
-        raise GraphInputError(f"diagonal weight must be nonnegative, got {a}")
+    if not 0 <= a < math.inf:
+        raise GraphInputError(f"diagonal weight must be nonnegative and finite, got {a}")
     graphs = [g] if isinstance(g, Graph) else list(g)
     if not graphs:
         raise GraphInputError("a matrix stack needs at least one graph")
@@ -231,35 +228,40 @@ def spectral_radius(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralResult:
     return SpectralResult(radius=radius, vector=vector, residual=residual, iterations=total)
 
 
-def _solve_by_order(graphs: Sequence[Graph], a: float, tol: float
-                    ) -> tuple[dict[int, tuple[float, float]], list[tuple[int, ConvergenceError]]]:
-    """(radius, residual) of a*D + A for the graphs, keyed by index in `graphs`.
+def radii(graphs: Sequence[Graph], weights: Sequence[float], tol: float
+          ) -> tuple[list[list[float]], list[list[float]]]:
+    """(radius, residual) of a*D + A for each graph at each weight a, as two
+    lists indexed [graph][weight].
 
-    One spectral_radius call per order, on the stack of that order's
-    matrices (split above STACK_ENTRIES matrix entries), so each member gets
-    the bits it would get alone.  A failing stack adds (index, error) for
-    its first failing member, is solved again without that member and the
-    ones after it, and leaves those unsolved.
+    One spectral_radius call per weight, order and chunk of at most
+    STACK_ENTRIES matrix entries, on the stack of that chunk's matrices, so
+    each member gets the bits it would get alone.  A failing chunk leaves
+    its members unsolved and the other chunks go on; at the end the
+    ConvergenceError of the lowest (index, weight) pair is raised, with
+    ``member`` set to that index in `graphs`.
     """
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
-    solved: dict[int, tuple[float, float]] = {}
-    failures: list[tuple[int, ConvergenceError]] = []
-    for n, members in by_order.items():
-        step = max(1, STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), step):
-            part = members[start:start + step]
-            while part:
+    radius = [[0.0] * len(weights) for _ in graphs]
+    residual = [[0.0] * len(weights) for _ in graphs]
+    errors = []
+    for slot, a in enumerate(weights):
+        for n, members in by_order.items():
+            step = max(1, STACK_ENTRIES // (n * n))
+            for start in range(0, len(members), step):
+                part = members[start:start + step]
                 try:
                     result = spectral_radius(a_matrix([graphs[i] for i in part], a), tol)
                 except ConvergenceError as exc:
-                    failures.append((part[exc.member], exc))
-                    part = part[:exc.member]
+                    errors.append((part[exc.member], slot, exc))
                     continue
-                solved.update(zip(part, zip(result.radius.tolist(), result.residual.tolist())))
-                break
-    return solved, failures
+                for i, r, res in zip(part, result.radius.tolist(), result.residual.tolist()):
+                    radius[i][slot], residual[i][slot] = r, res
+    if errors:
+        i, _, exc = min(errors, key=lambda error: error[:2])
+        raise ConvergenceError(*exc.args[:4], member=i)
+    return radius, residual
 
 
 def rho_a(g: Graph, a: float, tol: float = DEFAULT_TOL) -> float:

@@ -13,13 +13,13 @@ the margin are routed through the extremal recognizer and then the
 certifier, and are never reported as violations, since equality cases
 cannot be decided in floating point.
 
-Every harness eigensolves through ``_radii``: it takes a list of graphs and
-makes one ``spectral_radius`` call per order and diagonal weight, on the
-stack of their matrices, and raises the error of the lowest list index.
-The streamed harnesses (Hamilton paths, k-trees, matchings, edge-count
-bounds) run a contiguous chunk of their stream in three stages: each item is
-decoded and filtered on its own; the in-scope graphs go through one
-``_radii`` call; then each in-scope item is classified on its own, so
+Every harness eigensolves through ``spectral.radii``: it takes a list of
+graphs and makes one ``spectral_radius`` call per diagonal weight and order,
+on the stack of their matrices, and raises the error of the lowest list
+index.  The streamed harnesses (Hamilton paths, k-trees, matchings,
+edge-count bounds) run a contiguous chunk of their stream in three stages:
+each item is decoded and filtered on its own; the in-scope graphs go through
+one ``radii`` call; then each in-scope item is classified on its own, so
 certifiers and recognizers run only where a verdict needs them.  A chunk
 that meets an error (a graph6 defect, an uncertified eigenpair) raises the
 one of the lowest stream index.  One worker runs the stream as one chunk
@@ -30,7 +30,7 @@ worker and is reused while the worker count and the process stay the same;
 it is rebuilt when a worker has died and shut down at exit.  Its workers
 see the package as it was when the pool started, so a monkeypatch made
 later does not reach them.  The monotonicity sweeps and the edge-deletion
-check build every graph of their grid first, make one ``_radii`` call, and
+check build every graph of their grid first, make one ``radii`` call, and
 then emit their rows in grid order.
 
 Reports are deterministic: identical stream and config give byte-identical
@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .certifiers import PerfectMatching, find_k_tree, perfect_matching
-from .errors import DEFAULT_MARGIN, ConvergenceError, GraphInputError
+from .errors import DEFAULT_MARGIN, GraphInputError
 from .families import (
     is_ktree_extremal,
     is_matching_extremal,
@@ -78,7 +78,7 @@ from .graphs import (
     to_graph6,
 )
 from .smallgraphs import canonical_form, connected_graphs
-from .spectral import DEFAULT_TOL, _solve_by_order, das_bound, hong_bound
+from .spectral import DEFAULT_TOL, das_bound, hong_bound, radii
 
 DRAWS_PER_GRAPH = 1000
 CHUNKS_PER_WORKER = 4
@@ -225,35 +225,13 @@ def _close_pool() -> None:
     _pool = None
 
 
-def _radii(graphs: Sequence[Graph], weights: tuple[float, ...],
-           tol: float) -> list[list[float]]:
-    """Each graph's radius of a*D + A at each weight a, in weight order.
-
-    One spectral_radius call per order and weight, on the stack of that
-    order's matrices (``spectral._solve_by_order``).  When eigensolves fail,
-    the ConvergenceError of the lowest (index, weight) pair is raised, with
-    ``member`` set to that index in `graphs`.
-    """
-    radii: list[list[float]] = [[] for _ in graphs]
-    errors = []
-    for slot, a in enumerate(weights):
-        solved, failures = _solve_by_order(graphs, a, tol)
-        errors += [(i, slot, exc) for i, exc in failures]
-        for i, (radius, _) in solved.items():
-            radii[i].append(radius)
-    if errors:
-        i, _, exc = min(errors, key=lambda error: error[:2])
-        raise ConvergenceError(*exc.args[:4], member=i)
-    return radii
-
-
 def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
             classify: Callable, chunk: Sequence) -> list[dict]:
     """The three stages over one chunk.
 
     decode(item) -> (row, g, context), with g None for an item out of
     scope; the in-scope graphs are eigensolved at every diagonal weight by
-    one ``_radii`` call; classify(row, g, context, radii) fills in the
+    one ``spectral.radii`` call; classify(row, g, context, radii) fills in the
     verdict.  When a decode or an eigensolve fails, the error of the lowest
     stream index (then lowest weight) is raised and nothing is classified:
     decoding stops at the first defect, so every eigensolve error precedes it.
@@ -268,10 +246,10 @@ def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
         if g is not None:
             scoped.append((len(rows), g, context))
         rows.append(row)
-    radii = _radii([g for _, g, _ in scoped], weights, tol)
+    solved, _ = radii([g for _, g, _ in scoped], weights, tol)
     if defect is not None:
         raise defect
-    for (i, g, context), values in zip(scoped, radii):
+    for (i, g, context), values in zip(scoped, solved):
         classify(rows[i], g, context, values)
     return rows
 
@@ -441,7 +419,7 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 @lru_cache(maxsize=None)
 def _ktree_threshold(n: int, k: int, a: float, tol: float) -> float:
     """The radius of a*D + A of the order-n extremal graph."""
-    (threshold,), = _radii([ktree_extremal(n, k)], (a,), tol)
+    ((threshold,),), _ = radii([ktree_extremal(n, k)], (a,), tol)
     return threshold
 
 
@@ -616,11 +594,11 @@ def verify_cut_family_monotonicity(max_n: int = 20, max_s: int = 4,
                 for parts in spread:
                     cases.append((n, s, parts, len(graphs), concentrated))
                     graphs.append(win_family(s, parts))
-    radii = _radii(graphs, (0.0, 1.0), tol)
+    values, _ = radii(graphs, (0.0, 1.0), tol)
     rows = []
     for n, s, parts, i, top in cases:
         line, m = to_graph6(graphs[i]).decode("ascii"), graphs[i].m
-        for a, value, larger in zip((0.0, 1.0), radii[i], radii[top]):
+        for a, value, larger in zip((0.0, 1.0), values[i], values[top]):
             rows.append({
                 "graph6": line,
                 "item": f"n={n} s={s} parts={parts} a={a:g}",
@@ -643,12 +621,12 @@ def verify_matching_family_monotonicity(max_n: int = 30, *,
     1 <= s < n/2 and a in {0, 1}; both sides are eigensolved.
     """
     keys = [(n, s) for n in range(3, max_n + 1) for s in range((n - 1) // 2 + 1)]
-    radii = _radii([matching_extremal(n, s).to_graph() for n, s in keys], (0.0, 1.0), tol)
+    values, _ = radii([matching_extremal(n, s).to_graph() for n, s in keys], (0.0, 1.0), tol)
     rows = []
     for i, (n, s) in enumerate(keys):
         if s == 0:  # rows are exactly 1 <= s < n/2; (n, s - 1) is keys[i - 1]
             continue
-        for a, value, larger in zip((0.0, 1.0), radii[i], radii[i - 1]):
+        for a, value, larger in zip((0.0, 1.0), values[i], values[i - 1]):
             rows.append({
                 "graph6": None,
                 "item": f"n={n} s={s} a={a:g}",
@@ -729,19 +707,19 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
 
     labels = ([f"delete_type1 x={x} y={y}" for x, y in type1]
               + [f"delete_type2 x={x} y={y}" for x, y in type2])
-    radii = [value for value, in _radii([ext] + singles + [h for _, h in deep], (0.0,), tol)]
+    values = [value for value, in radii([ext] + singles + [h for _, h in deep], (0.0,), tol)[0]]
 
     def row(item: str, g: Graph, value: float, verdict: str) -> dict:
         return {"graph6": to_graph6(g).decode("ascii"), "item": item, "n": 2 * n,
                 "m": g.m, "value": value, "threshold": threshold, "verdict": verdict,
                 "certificate_type": None}
 
-    rows = [row("extremal", ext, radii[0],
-                EXTREMAL if radii[0] >= threshold - margin else failed)]
+    rows = [row("extremal", ext, values[0],
+                EXTREMAL if values[0] >= threshold - margin else failed)]
     rows += [row(label, h, value, below_threshold(value))
-             for label, h, value in zip(labels, singles, radii[1:])]
-    low2 = min(radii[1 + len(type1):1 + len(deletable)])
-    high1 = max(radii[1:1 + len(type1)])
+             for label, h, value in zip(labels, singles, values[1:])]
+    low2 = min(values[1 + len(type1):1 + len(deletable)])
+    high1 = max(values[1:1 + len(type1)])
     rows.append({
         "graph6": None, "item": "type2_above_type1", "n": 2 * n, "m": None,
         "value": low2, "threshold": high1,
@@ -749,7 +727,7 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
         "certificate_type": None,
     })
     rows += [row(label, h, value, below_threshold(value))
-             for (label, h), value in zip(deep, radii[1 + len(deletable):])]
+             for (label, h), value in zip(deep, values[1 + len(deletable):])]
     return _finalize(
         theorem_id="edge_deletion_bound",
         population=f"single and sampled double edge deletions at n={n}, delta={delta}",

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spectralcert.cli import RunConfig, _bipartition, main
+from spectralcert.cli import _bipartition, main
 from spectralcert.errors import GraphInputError
 from spectralcert.families import matching_extremal
 from spectralcert.graphs import (
@@ -24,21 +24,17 @@ def _g6(g):
     return to_graph6(g).decode()
 
 
-def test_run_config_validation():
-    RunConfig()
-    with pytest.raises(GraphInputError):
-        RunConfig(tolerance=1e-6, margin=1e-8)
-    with pytest.raises(GraphInputError):
-        RunConfig(workers=0)
-    with pytest.raises(GraphInputError):
-        RunConfig(caps={"win_n_cap": 0, "brute_matching_cap": 8})
-
-
-def test_run_config_rejects_non_finite():
-    for tolerance, margin in [(float("nan"), 1e-8), (1e-10, float("nan")),
-                              (float("inf"), float("inf")), (1e-10, float("inf"))]:
-        with pytest.raises(GraphInputError):
-            RunConfig(tolerance=tolerance, margin=margin)
+def test_verify_rejects_bad_numeric_flags_one_line(capsys):
+    for flags in (["--tol", "1e-6", "--margin", "1e-8"],  # tolerance above the margin
+                  ["--workers", "0"],
+                  ["--tol", "nan"],
+                  ["--margin", "nan"],
+                  ["--tol", "inf", "--margin", "inf"],
+                  ["--margin", "inf"]):
+        assert main(["verify", "bounds", "--max-n", "4", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_spectral_subcommand(capsys):
@@ -158,6 +154,15 @@ def test_quotient_subcommand(capsys):
     assert main(["quotient", "--n", "3", "--s", "1", "--a", "0"]) == 0
     out = capsys.readouterr().out
     assert "lambda1=2.0" in out
+
+
+def test_quotient_rejects_a_non_finite_weight_before_printing(capsys):
+    for a in ("nan", "inf"):
+        assert main(["quotient", "--n", "3", "--s", "1", "--a", a]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: diagonal weight must be nonnegative and finite, got {a}"]
 
 
 def test_verify_bounds_exit_zero(capsys):

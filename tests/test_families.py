@@ -400,3 +400,10 @@ def test_families_does_not_import_smallgraphs():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_quotient_matrix_rejects_a_non_finite_weight():
+    for a in (math.nan, math.inf):
+        with pytest.raises(GraphInputError, match="^diagonal weight must be nonnegative "
+                                                  "and finite, got "):
+            matching_quotient_matrix(3, 1, a)

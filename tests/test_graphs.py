@@ -93,7 +93,6 @@ def test_bipartite_join_double_star():
     # y0 sees x0, x1, x2; x2 sees y0, y1, y2
     assert b.y_degrees[0] == 3
     assert b.x_degrees[2] == 3
-    assert b.join_split == (2, 1)
 
 
 def test_bipartite_join_empty_operand():

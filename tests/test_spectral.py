@@ -1,6 +1,7 @@
 """Spectral kernel: matrices, certified eigensolver, bounds, quotients."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -491,3 +492,79 @@ def test_singular_shifted_solve_fails_only_its_member(monkeypatch):
     good = spectral_radius(mats[[0, 2]])
     monkeypatch.undo()
     assert np.array_equal(good.radius, spectral_radius(mats[[0, 2]]).radius)
+
+
+def test_a_matrix_rejects_a_non_finite_weight():
+    for a in (math.nan, math.inf):
+        with pytest.raises(GraphInputError, match="^diagonal weight must be nonnegative "
+                                                  "and finite, got "):
+            a_matrix(complete_graph(3), a)
+
+
+def _first_failure_alone(graphs, weights, tol):
+    """(index, error) of the first (graph, weight) pair, graph by graph, whose
+    eigensolve fails alone; None when every pair passes."""
+    for i, g in enumerate(graphs):
+        for a in weights:
+            try:
+                spectral_radius(a_matrix(g, a), tol)
+            except ConvergenceError as exc:
+                return i, exc
+    return None
+
+
+def _radii_inputs():
+    """Graph lists of mixed orders for radii: the n <= 6 corpus shuffled, and
+    two lists that put the order-6 graphs failing alone at 3e-16 after six
+    and nine passing ones, past the first stack of four."""
+    from spectralcert.smallgraphs import connected_graphs
+
+    corpus = [g for n in range(1, 7) for g in connected_graphs(n)]
+    random.Random(4).shuffle(corpus)
+    sixes = connected_graphs(6)
+    failing = [g for g in sixes if _first_failure_alone([g], (0.0, 1.0), 3e-16)]
+    passing = [g for g in sixes if g not in failing]
+    assert failing
+    return [corpus, passing[:6] + failing + connected_graphs(4),
+            connected_graphs(3) + passing[:9] + failing[::-1] + passing[9:20]
+            + connected_graphs(5)]
+
+
+def _bits_of(values):
+    return [[x.hex() for x in row] for row in values]
+
+
+def test_radii_split_into_chunks_match_one_solve_per_graph(monkeypatch):
+    import spectralcert.spectral as spectral
+
+    solve, calls = spectral.spectral_radius, []
+    monkeypatch.setattr(spectral, "STACK_ENTRIES", 4 * 36)  # 4 graphs of order 6 a stack
+    monkeypatch.setattr(spectral, "spectral_radius",
+                        lambda m, tol: calls.append(m.shape) or solve(m, tol))
+    weights = (0.0, 1.0)
+    for graphs in _radii_inputs():
+        calls.clear()
+        radius, residual = spectral.radii(graphs, weights, TOL)
+        assert all(b * n * n <= 4 * 36 or b == 1 for b, n, _ in calls)
+        assert sum(n == 6 for _, n, _ in calls) > 2 * len(weights)  # order 6 splits
+        alone = [[solve(a_matrix(g, a), TOL) for a in weights] for g in graphs]
+        assert _bits_of(radius) == _bits_of([[r.radius for r in rs] for rs in alone])
+        assert _bits_of(residual) == _bits_of([[r.residual for r in rs] for rs in alone])
+
+
+def test_radii_raise_the_first_failure_alone_from_any_chunk(monkeypatch):
+    import spectralcert.spectral as spectral
+
+    monkeypatch.setattr(spectral, "STACK_ENTRIES", 4 * 36)
+    weights, tol, later = (0.0, 1.0), 3e-16, 0
+    for graphs in _radii_inputs():
+        i, exc = _first_failure_alone(graphs, weights, tol)
+        step = max(1, 4 * 36 // graphs[i].n ** 2)
+        later += sum(h.n == graphs[i].n for h in graphs[:i]) >= step
+        with pytest.raises(ConvergenceError) as info:
+            spectral.radii(graphs, weights, tol)
+        assert info.value.member == i
+        assert str(info.value) == str(exc)
+        assert ((info.value.radius, info.value.residual, info.value.iterations)
+                == (exc.radius, exc.residual, exc.iterations))
+    assert later >= 2  # the first failure sat past the first chunk of its order
