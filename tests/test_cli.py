@@ -24,17 +24,24 @@ def _g6(g):
     return to_graph6(g).decode()
 
 
-def test_verify_rejects_bad_numeric_flags_one_line(capsys):
-    for flags in (["--tol", "1e-6", "--margin", "1e-8"],  # tolerance above the margin
-                  ["--workers", "0"],
-                  ["--tol", "nan"],
-                  ["--margin", "nan"],
-                  ["--tol", "inf", "--margin", "inf"],
-                  ["--margin", "inf"]):
-        assert main(["verify", "bounds", "--max-n", "4", *flags]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+def _rejected_one_line(flags, capsys):
+    assert main(["verify", "bounds", "--max-n", "4", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_run_config_validation(capsys):
+    assert main(["verify", "bounds", "--max-n", "4"]) == 0
+    capsys.readouterr()
+    _rejected_one_line(["--tol", "1e-6", "--margin", "1e-8"], capsys)  # tolerance above the margin
+    _rejected_one_line(["--workers", "0"], capsys)
+
+
+def test_run_config_rejects_non_finite(capsys):
+    for tolerance, margin in [("nan", "1e-8"), ("1e-10", "nan"),
+                              ("inf", "inf"), ("1e-10", "inf")]:
+        _rejected_one_line(["--tol", tolerance, "--margin", margin], capsys)
 
 
 def test_spectral_subcommand(capsys):
