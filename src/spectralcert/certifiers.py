@@ -23,11 +23,15 @@ nonexistence within the stated caps.
   lexicographically, so it is a smallest one.  Components are counted only
   from the boundary N(S) - S, which meets every one of them, and the search
   stops at the first size whose bound reaches the independence number.
-* ``perfect_matching``: augmenting-path maximum matching, each path found
-  by a depth-first search on an explicit stack, so no path is too long for
-  the interpreter's recursion limit; on failure the X-side vertices
-  reachable by alternating paths from an unmatched vertex form a
-  neighborhood-deficient set, returned as the counter-certificate.
+* ``perfect_matching``: augmenting paths from each X root in turn, each
+  found by a depth-first search on an explicit stack, so no path is too
+  long for the interpreter's recursion limit.  The first root with no
+  augmenting path ends the search, and the X vertices it reached are the
+  neighborhood-deficient counter-certificate: their neighbors are the Y
+  vertices it visited, one fewer, each matched inside the set.  A later
+  augmenting path could not leave the set for a free Y, so none changes
+  it, and it is the set alternating paths from the first unmatched vertex
+  reach under a maximum matching.
 * ``count_perfect_matchings_brute``: permanent of the biadjacency matrix by
   inclusion-exclusion, the independent oracle for the matching routines.
 
@@ -260,7 +264,7 @@ def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
 # component-count violators
 
 
-def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator | None:
+def find_win_violator(g: Graph, k: int) -> WinViolator | None:
     """Some S with c(G - S) > (k-2)|S| + 2, or None if no subset violates.
 
     Exhaustive over all nonempty subsets in increasing size, and
@@ -277,8 +281,8 @@ def find_win_violator(g: Graph, k: int, n_cap: int = WIN_N_CAP) -> WinViolator |
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
     if not is_connected(g):
         raise GraphInputError("violator search requires a connected graph")
-    if g.n > n_cap:
-        raise CapacityError(f"exhaustive violator search capped at {n_cap} vertices")
+    if g.n > WIN_N_CAP:
+        raise CapacityError(f"exhaustive violator search capped at {WIN_N_CAP} vertices")
     n = g.n
     masks = g.neighbor_masks
     full = (1 << n) - 1
@@ -341,63 +345,46 @@ def _independence_number(masks: tuple[int, ...]) -> int:
 
 
 def perfect_matching(b: BipartiteGraph) -> PerfectMatching | HallViolator:
-    """A perfect matching, or a neighborhood-deficient X-set if none exists."""
+    """A perfect matching, or a neighborhood-deficient X-set if none exists.
+
+    Each X root in turn grows an alternating path: its last X vertex takes
+    the lowest neighbor bit that this root's search has not visited, a free
+    Y flips the path, and an X vertex with none left is popped.  The first
+    root whose path empties stops the search; the X vertices it reached are
+    the certificate (see the module docstring).
+    """
     if not b.is_balanced():
         raise GraphInputError("perfect matching requires a balanced bipartite graph")
     n = b.nx
     adj = b.x_masks
     match_x = [-1] * n
     match_y = [-1] * n
-
-    def augment(root: int) -> bool:
-        # depth-first over alternating paths; frame i tries the Y vertices of
-        # its X vertex in ascending order and descended through via[i]
-        visited = [False] * n
-        frames = [(root, _bits(adj[root]))]
-        via: list[int] = []
-        while frames:
-            for y in frames[-1][1]:
-                if not visited[y]:
-                    break
-            else:
-                frames.pop()
+    for root in range(n):
+        unvisited = (1 << n) - 1
+        reached = 1 << root  # X vertices reached, as a mask
+        path, via = [root], []  # the path's X vertices, and the Y vertex after each
+        while path:
+            free = adj[path[-1]] & unvisited
+            if not free:
+                path.pop()
                 if via:
                     via.pop()
                 continue
-            visited[y] = True
+            low = free & -free
+            unvisited ^= low
+            y = low.bit_length() - 1
             via.append(y)
-            if match_y[y] == -1:
-                for (x, _), y in zip(frames, via):
+            x = match_y[y]
+            if x == -1:
+                for x, y in zip(path, via):
                     match_x[x] = y
                     match_y[y] = x
-                return True
-            frames.append((match_y[y], _bits(adj[match_y[y]])))
-        return False
-
-    matched = 0
-    for x in range(n):
-        if augment(x):
-            matched += 1
-    if matched == n:
-        return PerfectMatching(tuple((x, match_x[x]) for x in range(n)))
-
-    x0 = next(x for x in range(n) if match_x[x] == -1)
-    reach_x = {x0}
-    reach_y: set[int] = set()
-    frontier = [x0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in _bits(adj[x]):
-                if y in reach_y:
-                    continue
-                reach_y.add(y)
-                partner = match_y[y]
-                if partner != -1 and partner not in reach_x:
-                    reach_x.add(partner)
-                    nxt.append(partner)
-        frontier = nxt
-    return HallViolator(tuple(sorted(reach_x)))
+                break
+            path.append(x)
+            reached |= 1 << x
+        else:
+            return HallViolator(tuple(_bits(reached)))
+    return PerfectMatching(tuple(enumerate(match_x)))
 
 
 def count_perfect_matchings_brute(b: BipartiteGraph) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .certifiers import (
@@ -30,7 +31,7 @@ from .certifiers import (
     perfect_matching,
 )
 from .errors import DEFAULT_MARGIN, DEFAULT_TOL, ConvergenceError, GraphInputError
-from .graphs import BipartiteGraph, Graph, _bits, from_graph6, to_graph6
+from .graphs import BipartiteGraph, Graph, _bits, _reach, from_graph6, to_graph6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,31 +69,28 @@ def _read_graphs(source: str) -> list[Graph]:
 def _bipartition(g: Graph) -> BipartiteGraph:
     """Recover a balanced bipartition of g, or fail.
 
-    Each connected component is 2-colored; the side-per-component choice that
-    balances |X| = |Y| is found by subset-sum over the color-count
-    differences (first feasible assignment in component order wins).
+    Each connected component is 2-colored by one reach over the bipartite
+    double cover of g (vertex v is bit v and bit n + v, and each edge joins
+    one copy of an end to the other copy of the other end): the copies
+    reached from the low copy of a vertex are its component's two color
+    classes, and a vertex reached in both copies closes an odd cycle.  The
+    side-per-component choice that balances |X| = |Y| is found by subset-sum
+    over the color-count differences (first feasible assignment in component
+    order wins).
     """
     n = g.n
     masks = g.neighbor_masks
-    comps: list[list[int]] = []  # per component: the two color classes, as masks
-    unseen = (1 << n) - 1
+    low = (1 << n) - 1
+    cover = [m << n for m in masks] + list(masks)
+    comps: list[tuple[int, int]] = []  # per component: the two color classes, as masks
+    unseen = low
     while unseen:
-        # breadth-first layers from the lowest unseen vertex alternate
-        # colors; an edge inside a layer closes an odd cycle
-        layer = reached = unseen & -unseen
-        sides, color = [layer, 0], 0
-        while layer:
-            ahead = 0
-            for v in _bits(layer):
-                ahead |= masks[v]
-            if ahead & layer:
-                raise GraphInputError("graph is not bipartite (odd cycle found)")
-            layer = ahead & ~reached
-            reached |= layer
-            color ^= 1
-            sides[color] |= layer
-        unseen &= ~reached
-        comps.append(sides)
+        reached = _reach(cover, unseen & -unseen, low << n | low)
+        even, odd = reached & low, reached >> n
+        if even & odd:
+            raise GraphInputError("graph is not bipartite (odd cycle found)")
+        unseen &= ~(even | odd)
+        comps.append((even, odd))
     if n % 2:
         raise GraphInputError("odd order cannot form a balanced bipartite graph")
     target = n // 2
@@ -385,8 +383,11 @@ def main(argv: list[str] | None = None) -> int:
             raise GraphInputError("tolerance must be positive and finite")
         if hasattr(args, "margin") and not args.tol <= args.margin < math.inf:
             raise GraphInputError("margin must be finite and at least the tolerance")
-        if getattr(args, "workers", 1) < 1:
+        workers, cpus = getattr(args, "workers", 1), os.cpu_count() or 1
+        if workers < 1:
             raise GraphInputError("worker count must be positive")
+        if workers > cpus:
+            raise GraphInputError(f"worker count must be at most the CPU count, {cpus}")
         return args.fn(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

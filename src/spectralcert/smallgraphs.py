@@ -23,7 +23,7 @@ cached beside it for the next order.
 from __future__ import annotations
 
 from .errors import CapacityError, GraphInputError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _reach
 
 ISO_CAP = 12
 CORPUS_CAP = 8
@@ -138,7 +138,7 @@ def _canonical_code(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]
                 if autos and known != len(autos):
                     known = len(autos)
                     covered = _orbit_closure(
-                        tried, [p for p, m in autos.items() if not fixed & m])
+                        tried, [p for p, m in autos.items() if not fixed & m], n)
                 if covered & bit:
                     continue
             path.append(v)
@@ -165,17 +165,13 @@ def _leaf_code(masks: tuple[int, ...], order: list[int]) -> int:
     return code
 
 
-def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
-    """The union of the orbits of the vertices in mask under perms."""
-    frontier = mask
-    while frontier:
-        image = 0
-        for v in _bits(frontier):
-            for p in perms:
-                image |= 1 << p[v]
-        frontier = image & ~mask
-        mask |= image
-    return mask
+def _orbit_closure(mask: int, perms: list[tuple[int, ...]], n: int) -> int:
+    """The union of the orbits of the vertices in mask under perms of range(n)."""
+    images = [0] * n  # v -> its images under perms, as a mask
+    for p in perms:
+        for v, w in enumerate(p):
+            images[v] |= 1 << w
+    return _reach(images, mask, (1 << n) - 1)
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:

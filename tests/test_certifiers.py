@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from spectralcert.graphs import (
     star_graph,
 )
 from spectralcert.smallgraphs import connected_graphs
+from spectralcert.verify import bipartite_from_bits
 
 
 def test_path_is_its_own_2_tree():
@@ -371,6 +373,62 @@ def _recursive_matching(b):
     for x in range(b.nx):
         augment(x, [False] * b.nx)
     return match_x
+
+
+def _hall_reference(b):
+    """X vertices that alternating paths from the first unmatched X vertex
+    reach, breadth first, under the matching of `_recursive_matching`; None
+    when that matching is perfect."""
+    biadj = b.biadj  # built on each access, so built once here
+    match_x = _recursive_matching(SimpleNamespace(nx=b.nx, biadj=biadj))
+    if -1 not in match_x:
+        return None
+    match_y = {y: x for x, y in enumerate(match_x) if y != -1}
+    reach_x, reach_y = {match_x.index(-1)}, set()
+    frontier = list(reach_x)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in np.flatnonzero(biadj[x]).tolist():
+                if y not in reach_y:
+                    reach_y.add(y)
+                    if y in match_y and match_y[y] not in reach_x:
+                        reach_x.add(match_y[y])
+                        nxt.append(match_y[y])
+        frontier = nxt
+    return tuple(sorted(reach_x))
+
+
+def _check_hall_reference(b):
+    result = perfect_matching(b)
+    expected = _hall_reference(b)
+    if expected is None:
+        assert isinstance(result, PerfectMatching)
+    else:
+        assert result == HallViolator(expected)
+        assert len(b.neighborhood(result.vertices)) < len(result.vertices)
+
+
+def test_hall_violator_matches_alternating_bfs_exhaustive():
+    for n in (3, 4):
+        for bits in range(1 << n * n):
+            _check_hall_reference(bipartite_from_bits(n, bits))
+
+
+def test_hall_violator_matches_alternating_bfs_random():
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        n = int(rng.integers(1, 10))
+        _check_hall_reference(BipartiteGraph(n, n, rng.random((n, n)) < rng.random()))
+
+
+def test_hall_violator_after_a_long_failing_search():
+    # the last X vertex meets only y = n-2, so its search walks the whole
+    # chain down to x = 0 and reaches every X vertex
+    n = 1500
+    biadj = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    biadj[:, -1] = False
+    assert perfect_matching(BipartiteGraph(n, n, biadj)) == HallViolator(tuple(range(n)))
 
 
 def test_perfect_matching_keeps_ascending_augmenting_order():

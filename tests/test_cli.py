@@ -10,6 +10,7 @@ from spectralcert.cli import _bipartition, main
 from spectralcert.errors import GraphInputError
 from spectralcert.families import matching_extremal
 from spectralcert.graphs import (
+    build_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -36,6 +37,13 @@ def test_run_config_validation(capsys):
     capsys.readouterr()
     _rejected_one_line(["--tol", "1e-6", "--margin", "1e-8"], capsys)  # tolerance above the margin
     _rejected_one_line(["--workers", "0"], capsys)
+
+
+def test_workers_above_the_cpu_count_are_rejected(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    _rejected_one_line(["--workers", "3"], capsys)
+    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown counts as one
+    _rejected_one_line(["--workers", "2"], capsys)
 
 
 def test_run_config_rejects_non_finite(capsys):
@@ -261,6 +269,83 @@ def test_bipartition_rejects_odd_cycles_and_imbalance():
         _bipartition(cycle_graph(5))
     with pytest.raises(GraphInputError):
         _bipartition(path_graph(3))  # 2-1 split cannot balance
+
+
+def _layered_bipartition(g):
+    """Reference for `_bipartition`: 2-colouring by breadth-first layers (an
+    edge inside a layer closes an odd cycle), then the same balancing and
+    messages."""
+    n = g.n
+    masks = g.neighbor_masks
+    comps = []
+    unseen = (1 << n) - 1
+    while unseen:
+        layer = reached = unseen & -unseen
+        sides, color = [layer, 0], 0
+        while layer:
+            ahead = 0
+            for v in range(n):
+                if layer >> v & 1:
+                    ahead |= masks[v]
+            if ahead & layer:
+                raise GraphInputError("graph is not bipartite (odd cycle found)")
+            layer = ahead & ~reached
+            reached |= layer
+            color ^= 1
+            sides[color] |= layer
+        unseen &= ~reached
+        comps.append(sides)
+    if n % 2:
+        raise GraphInputError("odd order cannot form a balanced bipartite graph")
+    target = n // 2
+    reachable = [{0: None}]
+    for idx, sides in enumerate(comps):
+        nxt = {}
+        for total in reachable[idx]:
+            for pick, side in enumerate(sides):
+                new = total + side.bit_count()
+                if new <= target and new not in nxt:
+                    nxt[new] = pick
+        reachable.append(nxt)
+    if target not in reachable[-1]:
+        raise GraphInputError("no balanced bipartition exists for this graph")
+    x_side, total = 0, target
+    for idx in range(len(comps) - 1, -1, -1):
+        side = comps[idx][reachable[idx + 1][total]]
+        x_side |= side
+        total -= side.bit_count()
+    ys = [y for y in range(n) if not x_side >> y & 1]
+    return len(ys), tuple(sum(1 << j for j, y in enumerate(ys) if masks[x] >> y & 1)
+                          for x in range(n) if x_side >> x & 1)
+
+
+def _parts_or_error(fn, g):
+    try:
+        b = fn(g)
+    except GraphInputError as exc:
+        return str(exc)
+    return b if isinstance(b, tuple) else (b.ny, b.x_masks)
+
+
+def test_bipartition_matches_layered_bfs_on_random_multicomponent_graphs():
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(3000):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 5)
+            # a random bipartite component, sometimes given one edge that may close an odd cycle
+            color = [rng.randint(0, 1) for _ in range(k)]
+            edges = [(u, v) for u in range(k) for v in range(u + 1, k)
+                     if color[u] != color[v] and rng.random() < 0.6]
+            if k > 2 and rng.random() < 0.2:
+                edges.append(tuple(rng.sample(range(k), 2)))
+            parts.append(build_graph(k, edges))
+        g = disjoint_union(parts)
+        expected = _parts_or_error(_layered_bipartition, g)
+        assert _parts_or_error(_bipartition, g) == expected
+        outcomes.add(expected if isinstance(expected, str) else "parts")
+    assert len(outcomes) == 4  # parts and each of the three messages
 
 
 def test_verify_edge_deletion_inside_huge_margin_exits_zero(tmp_path, capsys):
