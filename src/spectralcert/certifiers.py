@@ -7,10 +7,14 @@ nonexistence within the stated caps.
   edge-addition DFS on an explicit stack over a fixed edge order (most
   constrained endpoints first).  Its one prune is that the possibility
   graph (tree edges plus undecided edges with both ends below degree k)
-  stays connected, tested only after the possibility graph lost an edge; a
-  per-fragment outward budget is implied, because tree edges lie inside
-  fragments, so a connected possibility graph gives every fragment a usable
-  edge out.  The DFS branches only on live edges; dead edges (both ends in
+  stays connected; a per-fragment outward budget is implied, because tree
+  edges lie inside fragments, so a connected possibility graph gives every
+  fragment a usable edge out.  The root test, on g itself, is the
+  connectivity check; below it the test waits for the first dead end, and
+  from then on runs only after the possibility graph lost an edge.  A
+  failed test prunes only subtrees without a k-tree, so the first tree in
+  DFS order, the certificate, is the same whichever tests run.  The DFS
+  branches only on live edges; dead edges (both ends in
   one fragment, or an end already at degree k) are passed over without a
   feasibility check.  The edges are scanned as degree-class entries, one
   vertex u with the mask of its higher neighbours of one degree, so a whole
@@ -113,14 +117,23 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     left, below degree k and outside u's fragment, kept as one vertex mask
     per union-find root.
 
-    Each search node tests feasibility, then branches (add, then exclude)
-    on the next live edge, depth first on an explicit stack.  The test is
-    that the possibility graph (tree edges plus undecided edges whose ends
-    are both below degree k) is connected.  That also gives every fragment
-    a usable edge to the outside, since tree edges stay inside fragments.
-    The graph loses edges only on an exclusion, or when an added edge fills
-    an end that still has an undecided edge to a vertex below k; every
-    other node keeps its parent's graph, and so its passing test, unrun.
+    Each search node may test feasibility, then branches (add, then
+    exclude) on the next live edge, depth first on an explicit stack.  The
+    test is that the possibility graph (tree edges plus undecided edges
+    whose ends are both below degree k) is connected.  That also gives every
+    fragment a usable edge to the outside, since tree edges stay inside
+    fragments.  The root's possibility graph is g, so the root test is the
+    connectivity check.  Below it nothing is tested until the first dead
+    end, a node with no live edge and fewer than n - 1 tree edges.  A
+    descent that meets none excluded nothing, so its tree lies in every
+    ancestor's possibility graph and every skipped test would have passed;
+    and a failed test only prunes subtrees holding no k-tree, so the first
+    tree in DFS order does not move.  The untested stretch is one path, so
+    backtracking along it costs at most one test a frame.  From the first
+    dead end on, the graph loses edges only on an exclusion, or when an
+    added edge fills an end that still has an undecided edge to a vertex
+    below k; every other node keeps its parent's graph, and so its passing
+    test, unrun.
     Skipping dead edges is exact: fragments only merge and degrees only
     grow below a node, so a dead edge stays dead there, and the test never
     needs one (an edge inside a fragment joins vertices the tree already
@@ -128,14 +141,15 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
-    if not is_connected(g):
-        raise GraphInputError("k-tree search requires a connected graph")
     n = g.n
+    masks = g.neighbor_masks
+    full = (1 << n) - 1
+    if _reach(masks, 1, full) != full:  # the root test: g is the possibility graph
+        raise GraphInputError("k-tree search requires a connected graph")
     if n == 1:
         return KTreeCertificate(())
 
     degs = g.degrees
-    masks = g.neighbor_masks
     classes: dict[int, int] = {}  # degree -> vertices of that degree
     for v, d in enumerate(degs):
         classes[d] = classes.get(d, 0) | 1 << v
@@ -158,7 +172,6 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
 
     tree_adj = [0] * n
     und = list(masks)  # undecided incident edges, as neighbor bitmasks
-    full = (1 << n) - 1
     below = full  # vertices of degree < k
     chosen: list[tuple[int, int]] = []
     # one frame per branched edge: (entry, v, ru, rv) while its add branch
@@ -166,7 +179,8 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     frames: list[tuple[int, int, int, int]] = []
     e = 0
     after = -1  # bits of entry e not yet passed
-    stale = True  # the possibility graph lost an edge since it last passed
+    stale = False  # the possibility graph lost an edge since it last passed
+    tested = False  # a node has failed: from here on, stale nodes are tested
     while len(chosen) < n - 1:
         # one search node: test the possibility graph, then add the next live edge
         if stale:
@@ -203,12 +217,13 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             if tree_adj[v].bit_count() == k:
                 below &= ~low
                 lost |= und[v]
-            stale = lost & below != 0
+            stale = tested and lost & below != 0
             chosen.append((u, v))
             frames.append((e, v, ru, rv))
             after = -(2 << v)
             continue
         # this node failed: undo to the deepest add branch, then exclude it
+        tested = True
         while frames:
             e, v, ru, rv = frames.pop()
             u = entries[e][0]

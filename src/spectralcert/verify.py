@@ -11,7 +11,9 @@ exceptional graph), ``violated`` (above threshold, no certificate, not
 exceptional).  Threshold comparisons use a configurable margin; items inside
 the margin are routed through the extremal recognizer and then the
 certifier, and are never reported as violations, since equality cases
-cannot be decided in floating point.
+cannot be decided in floating point.  A k-tree counts as found only once
+``is_valid_ktree`` accepts it; one it rejects is a certifier bug and raises
+``RuntimeError`` instead of giving any verdict.
 
 Every harness eigensolves through ``spectral.radii``: it takes a list of
 graphs and makes one ``spectral_radius`` call per diagonal weight and order,
@@ -52,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .certifiers import PerfectMatching, find_k_tree, perfect_matching
+from .certifiers import PerfectMatching, find_k_tree, is_valid_ktree, perfect_matching
 from .errors import DEFAULT_MARGIN, GraphInputError
 from .families import (
     is_ktree_extremal,
@@ -349,6 +351,19 @@ def _random_bits(rng: np.random.Generator, nbits: int) -> int:
 # Hamilton-path thresholds (the degree-2 spanning tree case)
 
 
+def _ktree_checked(row: dict, g: Graph, k: int) -> tuple[bool, str | None]:
+    """Whether find_k_tree finds a k-tree of the row's graph g.  A found tree
+    counts only once is_valid_ktree accepts it; one it rejects is a
+    certifier bug, not a verdict, and raises RuntimeError."""
+    cert = find_k_tree(g, k)
+    if cert is None:
+        return False, None
+    if not is_valid_ktree(g, k, cert):
+        raise RuntimeError(f"find_k_tree returned an invalid {k}-tree for graph6 "
+                           f"line {row['graph6']!r}")
+    return True, "ktree"
+
+
 @lru_cache(maxsize=None)
 def _hamilton_exceptions(variant: str, n: int) -> frozenset[tuple[int, int]]:
     """The variant's exceptional graphs of order n, as a set of canonical forms."""
@@ -372,10 +387,6 @@ def _hamilton_classify(params: tuple, row: dict, g: Graph, context: None,
     row["value"] = value
     row["threshold"] = threshold
 
-    def run_certifier():
-        found = find_k_tree(g, 2) is not None
-        return found, ("ktree" if found else None)
-
     def is_exceptional():
         # a code has one bit per edge: screening on the edge count keeps the
         # canonical search off large symmetric graphs that cannot match
@@ -384,7 +395,7 @@ def _hamilton_classify(params: tuple, row: dict, g: Graph, context: None,
                 and canonical_form(g) in forms)
 
     row["verdict"], row["certificate_type"] = _classify(
-        value, threshold, margin, run_certifier, is_exceptional)
+        value, threshold, margin, partial(_ktree_checked, row, g, 2), is_exceptional)
 
 
 def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
@@ -431,12 +442,8 @@ def _ktree_classify(params: tuple, row: dict, g: Graph, context: None,
     row["value"] = value
     row["threshold"] = threshold
 
-    def run_certifier():
-        found = find_k_tree(g, k) is not None
-        return found, ("ktree" if found else None)
-
     row["verdict"], row["certificate_type"] = _classify(
-        value, threshold, margin, run_certifier,
+        value, threshold, margin, partial(_ktree_checked, row, g, k),
         lambda: is_ktree_extremal(g, g.n, k))
 
 

@@ -284,6 +284,100 @@ def test_k_tree_feasibility_tested_only_after_an_edge_is_lost(monkeypatch):
     assert len(calls) == 1
 
 
+def test_k_tree_search_tests_nothing_before_its_first_dead_end(monkeypatch):
+    from spectralcert import certifiers
+
+    calls = []
+    reach = certifiers._reach
+    monkeypatch.setattr(certifiers, "_reach",
+                        lambda *args: calls.append(1) or reach(*args))
+    # dense graphs fill vertices that keep undecided edges, but the search
+    # never meets a dead end there, so only the root node tests
+    rng = np.random.default_rng(18)
+    for g in (complete_graph(30), _random_connected(rng, 40, 0.97)):
+        calls.clear()
+        cert = find_k_tree(g, 3)
+        assert cert is not None and is_valid_ktree(g, 3, cert)
+        assert len(calls) == 1
+    # the extremal graph has no 3-tree: the descent meets a dead end, then
+    # backtracks along its untested path with at most one test a frame
+    calls.clear()
+    assert find_k_tree(ktree_extremal(22, 3), 3) is None
+    assert 1 < len(calls) <= 22
+
+
+def _reference_k_tree(g, k):
+    """The first spanning k-tree of a plain recursive DFS, or None: edges in
+    the order (smaller end degree, larger end degree, u, v), add before
+    exclude, dead edges passed over, and at every node a set-based test that
+    tree edges plus unexcluded edges with both ends below k connect g."""
+    n, deg = g.n, g.degrees
+    edges = sorted((min(deg[u], deg[v]), max(deg[u], deg[v]), u, v)
+                   for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v))
+    edges = [(u, v) for _, _, u, v in edges]
+    tree, excluded = [], set()
+    tdeg = [0] * n
+    frag = list(range(n))  # a fragment label per vertex
+
+    def possible_connected():
+        nbrs = {v: set() for v in range(n)}
+        for u, v in edges:
+            if (u, v) in tree or (u, v) not in excluded and tdeg[u] < k and tdeg[v] < k:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        seen, todo = {0}, [0]
+        while todo:
+            for w in nbrs[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        return len(seen) == n
+
+    def search(i):
+        if len(tree) == n - 1:
+            return True
+        if not possible_connected():
+            return False
+        while i < len(edges):
+            u, v = edges[i]
+            if tdeg[u] < k and tdeg[v] < k and frag[u] != frag[v]:
+                break
+            i += 1
+        else:
+            return False
+        saved = frag[:]
+        tree.append((u, v))
+        tdeg[u] += 1
+        tdeg[v] += 1
+        frag[:] = [frag[u] if f == frag[v] else f for f in frag]
+        if search(i + 1):
+            return True
+        tree.pop()
+        tdeg[u] -= 1
+        tdeg[v] -= 1
+        frag[:] = saved
+        excluded.add((u, v))
+        if search(i + 1):
+            return True
+        excluded.discard((u, v))
+        return False
+
+    return KTreeCertificate(tuple(sorted(tree))) if search(0) else None
+
+
+def test_k_tree_matches_a_fully_tested_reference():
+    rng = np.random.default_rng(181)
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += [_random_connected(rng, int(rng.integers(7, 11)), rng.uniform(0.2, 0.9))
+               for _ in range(300)]
+    found = 0
+    for g in graphs:
+        for k in (2, 3):
+            expected = _reference_k_tree(g, k)
+            assert find_k_tree(g, k) == expected
+            found += expected is not None
+    assert 0 < found < 2 * len(graphs)
+
+
 def test_win_violator_on_extremal_graph():
     for n, k in [(8, 3), (12, 4)]:
         g = ktree_extremal(n, k)
@@ -437,7 +531,7 @@ def test_perfect_matching_keeps_ascending_augmenting_order():
         n = int(rng.integers(1, 9))
         b = BipartiteGraph(n, n, rng.random((n, n)) < rng.random())
         result = perfect_matching(b)
-        expected = _recursive_matching(b)
+        expected = _recursive_matching(SimpleNamespace(nx=b.nx, biadj=b.biadj))
         if isinstance(result, PerfectMatching):
             assert result.pairs == tuple(enumerate(expected))
         else:

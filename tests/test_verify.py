@@ -73,10 +73,11 @@ def test_bipartite_bit_stream_modes():
 
 def test_bipartite_from_bits_roundtrip():
     b = matching_extremal(3, 1)
+    biadj = b.biadj  # built on each access, so built once here
     bits = 0
     for x in range(3):
         for y in range(3):
-            if b.biadj[x, y]:
+            if biadj[x, y]:
                 bits |= 1 << (3 * x + y)
     assert bipartite_from_bits(3, bits) == b
 
@@ -160,6 +161,24 @@ def test_ktree_condition_guards():
         verify_ktree_condition([complete_graph(22)], 3, 0.5)
     report = verify_ktree_condition([complete_graph(10)], 3, 0)
     assert report.counts[VACUOUS] == 1  # below the order guard
+
+
+def test_harnesses_raise_on_an_invalid_k_tree(monkeypatch):
+    from spectralcert import verify
+    from spectralcert.certifiers import KTreeCertificate, find_k_tree
+
+    def missing_edge(g, k):
+        return KTreeCertificate(find_k_tree(g, k).edges[:-1])
+
+    monkeypatch.setattr(verify, "find_k_tree", missing_edge)
+    # K22 is above all three thresholds, so each harness asks for a k-tree
+    g = complete_graph(22)
+    line = to_graph6(g).decode("ascii")
+    for run in (partial(verify_ktree_condition, [g], 3, 0),
+                partial(verify_hamilton_condition, [g], "rho"),
+                partial(verify_hamilton_condition, [g], "q")):
+        with pytest.raises(RuntimeError, match=re.escape(line)):
+            run()
 
 
 def test_matching_condition_exhaustive_3():
