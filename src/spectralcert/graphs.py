@@ -183,8 +183,12 @@ class BipartiteGraph:
 
         if nx < 0 or ny < 0:
             raise GraphInputError("part sizes must be nonnegative")
+        biadj = np.asarray(biadj, dtype=bool)
+        if biadj.shape != (nx, ny):
+            raise GraphInputError(
+                f"biadjacency shape {biadj.shape} does not match nx={nx}, ny={ny}")
         self._ny = ny
-        self._x_masks = _row_masks(np.asarray(biadj, dtype=bool).reshape(nx, ny))
+        self._x_masks = _row_masks(biadj)
 
     @classmethod
     def _from_masks(cls, ny: int, x_masks: tuple[int, ...]) -> "BipartiteGraph":

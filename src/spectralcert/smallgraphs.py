@@ -23,7 +23,7 @@ cached beside it for the next order.
 from __future__ import annotations
 
 from .errors import CapacityError, GraphInputError
-from .graphs import Graph, _bits, _reach
+from .graphs import Graph, _bits, _components, _reach
 
 ISO_CAP = 12
 CORPUS_CAP = 8
@@ -271,25 +271,13 @@ def _orbit_minima(gens: list[tuple[int, ...]], k: int) -> list[int] | range:
     top = 1 << k
     if not gens:
         return range(1, top)
-    tables = []
+    images = [0] * top  # subset s -> its images under gens, as a mask over subsets
     for p in gens:
         image = [0] * top
         for s in range(1, top):
             low = s & -s
             image[s] = image[s ^ low] | 1 << p[low.bit_length() - 1]
-        tables.append(image)
-    marked = bytearray(top)
-    minima = []
-    for sub in range(1, top):
-        if marked[sub]:
-            continue
-        minima.append(sub)
-        marked[sub] = 1
-        orbit = [sub]
-        for s in orbit:
-            for image in tables:
-                t = image[s]
-                if not marked[t]:
-                    marked[t] = 1
-                    orbit.append(t)
-    return minima
+        images = [mask | 1 << t for mask, t in zip(images, image)]
+    # the group is finite, so the subsets reachable from s form its orbit
+    return [(orbit & -orbit).bit_length() - 1
+            for orbit in _components(images, (1 << top) - 2)]

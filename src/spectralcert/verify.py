@@ -8,12 +8,15 @@ aggregates per-item verdicts into a ``VerificationReport``.
 Verdicts partition every stream: ``vacuous`` (guard or threshold not met),
 ``confirmed`` (certificate found), ``extremal_equality`` (the unique
 exceptional graph), ``violated`` (above threshold, no certificate, not
-exceptional).  Threshold comparisons use a configurable margin; items inside
-the margin are routed through the extremal recognizer and then the
-certifier, and are never reported as violations, since equality cases
-cannot be decided in floating point.  A k-tree counts as found only once
-``is_valid_ktree`` accepts it; one it rejects is a certifier bug and raises
-``RuntimeError`` instead of giving any verdict.
+exceptional).  The Hamilton-path, k-tree and matching harnesses reach them
+through one routine, ``_classify``, given each theorem's margin, threshold,
+certifier and extremal recognizer.  Items inside the margin are routed
+through the recognizer and then the certifier, and are never reported as
+violations, since equality cases cannot be decided in floating point.  A
+k-tree counts as found only once ``is_valid_ktree`` accepts it; one it
+rejects is a certifier bug and raises ``RuntimeError`` instead of giving any
+verdict.  A sampled stream rejects a negative seed with ``GraphInputError``;
+an exhaustive one ignores the seed.
 
 Every harness eigensolves through ``spectral.radii``: it takes a list of
 graphs and makes one ``spectral_radius`` call per diagonal weight and order,
@@ -26,14 +29,11 @@ certifiers and recognizers run only where a verdict needs them.  A chunk
 that meets an error (a graph6 defect, an uncertified eigenpair) raises the
 one of the lowest stream index.  One worker runs the stream as one chunk
 in the calling process.  More workers split it into a few contiguous chunks
-each, run on one pool of fork workers per process, and the rows are joined
-in stream order.  The pool starts on the first call with more than one
-worker and is reused while the worker count and the process stay the same;
-it is rebuilt when a worker has died and shut down at exit.  Its workers
-see the package as it was when the pool started, so a monkeypatch made
-later does not reach them.  The monotonicity sweeps and the edge-deletion
-check build every graph of their grid first, make one ``radii`` call, and
-then emit their rows in grid order.
+each, run on the process's fork pool (see ``_map_items``), and join the
+rows in stream order.  The monotonicity sweeps and the edge-deletion check
+build every graph of their grid first, make one ``radii`` call, and then
+emit their rows in grid order.  Every row, streamed or grid, is built by
+``_item_row``.
 
 Reports are deterministic: identical stream and config give byte-identical
 JSON.  Violations carry a re-checkable payload (graph6, value, threshold,
@@ -50,7 +50,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +92,7 @@ VIOLATED = "violated"
 _VERDICTS = (VACUOUS, CONFIRMED, EXTREMAL, VIOLATED)
 
 _CSV_COLUMNS = ["graph6", "n", "m", "rho_a", "threshold", "verdict", "certificate_type"]
+_CSV_KEYS = ["graph6", "n", "m", "value", "threshold", "verdict", "certificate_type"]
 
 
 @dataclass
@@ -128,10 +129,7 @@ class VerificationReport:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([row.get("graph6"), row.get("n"), row.get("m"),
-                                 row.get("value"), row.get("threshold"),
-                                 row.get("verdict"), row.get("certificate_type")])
+            writer.writerows([row.get(key) for key in _CSV_KEYS] for row in self.rows)
 
     def summary(self) -> str:
         c = self.counts
@@ -139,25 +137,38 @@ class VerificationReport:
                 f"confirmed={c[CONFIRMED]} extremal={c[EXTREMAL]} violated={c[VIOLATED]}")
 
 
-def _classify(value: float, threshold: float, margin: float,
-              run_certifier: Callable[[], tuple[bool, str | None]],
-              is_extremal: Callable[[], bool]) -> tuple[str, str | None]:
-    if value < threshold - margin:
-        return VACUOUS, None
-    if value > threshold + margin:
-        found, ctype = run_certifier()
-        if found:
-            return CONFIRMED, ctype
-        if is_extremal():
-            return EXTREMAL, ctype
-        return VIOLATED, ctype
-    # within the margin: equality territory
-    if is_extremal():
-        return EXTREMAL, None
-    found, ctype = run_certifier()
-    if found:
-        return CONFIRMED, ctype
-    return VACUOUS, ctype
+class _Check(NamedTuple):
+    """One theorem's margin and picklable callables (the pool pickles them):
+    threshold(n) at order n, certify(row, g, context) -> (found, certificate
+    type), and is_extremal(g, context), the extremal recognizer."""
+    margin: float
+    threshold: Callable[[int], float]
+    certify: Callable[[dict, Graph, object], tuple[bool, str | None]]
+    is_extremal: Callable[[Graph, object], bool]
+
+
+def _classify(check: _Check, row: dict, g: Graph, context, radii: list[float]) -> None:
+    """The verdict of a row whose one spectral value is radii[0].
+
+    Below threshold - margin neither the certifier nor the recognizer runs.
+    Above threshold + margin the certifier runs, then the recognizer only
+    without a certificate.  Within the margin the recognizer runs first,
+    then the certifier, and a row with neither is vacuous, never violated."""
+    value, = radii
+    threshold = check.threshold(g.n)
+    row["value"], row["threshold"] = value, threshold
+    if value < threshold - check.margin:
+        verdict, ctype = VACUOUS, None
+    elif value > threshold + check.margin:
+        found, ctype = check.certify(row, g, context)
+        verdict = (CONFIRMED if found else EXTREMAL if check.is_extremal(g, context)
+                   else VIOLATED)
+    elif check.is_extremal(g, context):
+        verdict, ctype = EXTREMAL, None
+    else:
+        found, ctype = check.certify(row, g, context)
+        verdict = CONFIRMED if found else VACUOUS
+    row["verdict"], row["certificate_type"] = verdict, ctype
 
 
 def _finalize(theorem_id: str, population: str, rows: list[dict],
@@ -256,13 +267,20 @@ def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
     return rows
 
 
+def _item_row(graph6: str | None, n: int, m: int | None, value: float | None = None,
+              threshold: float | None = None, verdict: str = VACUOUS, **extra) -> dict:
+    """A report row; extra keys (a grid row's "item") follow the common ones.
+    A stream row starts vacuous, with no value or threshold until it is
+    classified; a grid row with graph6 and m None compares two values."""
+    return {"graph6": graph6, "n": n, "m": m, "value": value, "threshold": threshold,
+            "verdict": verdict, "certificate_type": None, **extra}
+
+
 def _line_decode(min_n: int, line: str) -> tuple[dict, Graph | None, None]:
     """A graph6 line's row, and its graph when connected on min_n or more
     vertices."""
     g = from_graph6(line)
-    row = {"graph6": line, "n": g.n, "m": g.m, "value": None, "threshold": None,
-           "verdict": VACUOUS, "certificate_type": None}
-    return row, (g if g.n >= min_n and is_connected(g) else None), None
+    return _item_row(line, g.n, g.m), (g if g.n >= min_n and is_connected(g) else None), None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +320,7 @@ def random_connected_stream(n: int, count: int, p: float, seed: int) -> list[str
         raise GraphInputError(f"graph count must be nonnegative, got {count}")
     if not 0 < p <= 1:
         raise GraphInputError(f"edge probability must be in (0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lines = []
     for _ in range(count):
         for _ in range(DRAWS_PER_GRAPH):
@@ -334,8 +352,14 @@ def bipartite_bit_stream(n: int, sample_count: int | None, seed: int) -> list[in
                 "exhaustive bipartite streams are limited to part size 4; "
                 "pass a sample count for larger sizes")
         return list(range(1 << (n * n)))
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return [_random_bits(rng, n * n) for _ in range(sample_count)]
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise GraphInputError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _random_bits(rng: np.random.Generator, nbits: int) -> int:
@@ -351,7 +375,7 @@ def _random_bits(rng: np.random.Generator, nbits: int) -> int:
 # Hamilton-path thresholds (the degree-2 spanning tree case)
 
 
-def _ktree_checked(row: dict, g: Graph, k: int) -> tuple[bool, str | None]:
+def _ktree_checked(k: int, row: dict, g: Graph, context: None) -> tuple[bool, str | None]:
     """Whether find_k_tree finds a k-tree of the row's graph g.  A found tree
     counts only once is_valid_ktree accepts it; one it rejects is a
     certifier bug, not a verdict, and raises RuntimeError."""
@@ -362,6 +386,10 @@ def _ktree_checked(row: dict, g: Graph, k: int) -> tuple[bool, str | None]:
         raise RuntimeError(f"find_k_tree returned an invalid {k}-tree for graph6 "
                            f"line {row['graph6']!r}")
     return True, "ktree"
+
+
+def _hamilton_threshold(variant: str, n: int) -> float:
+    return float(n - 3 if variant == "rho" else 2 * n - 5)
 
 
 @lru_cache(maxsize=None)
@@ -379,23 +407,11 @@ def _hamilton_exceptions(variant: str, n: int) -> frozenset[tuple[int, int]]:
     return frozenset(map(canonical_form, graphs))
 
 
-def _hamilton_classify(params: tuple, row: dict, g: Graph, context: None,
-                       radii: list[float]) -> None:
-    variant, margin = params
-    value, = radii
-    threshold = float(g.n - 3 if variant == "rho" else 2 * g.n - 5)
-    row["value"] = value
-    row["threshold"] = threshold
-
-    def is_exceptional():
-        # a code has one bit per edge: screening on the edge count keeps the
-        # canonical search off large symmetric graphs that cannot match
-        forms = _hamilton_exceptions(variant, g.n)
-        return (any(code.bit_count() == g.m for _, code in forms)
-                and canonical_form(g) in forms)
-
-    row["verdict"], row["certificate_type"] = _classify(
-        value, threshold, margin, partial(_ktree_checked, row, g, 2), is_exceptional)
+def _is_hamilton_exception(variant: str, g: Graph, context: None) -> bool:
+    # a code has one bit per edge: screening on the edge count keeps the
+    # canonical search off large symmetric graphs that cannot match
+    forms = _hamilton_exceptions(variant, g.n)
+    return any(code.bit_count() == g.m for _, code in forms) and canonical_form(g) in forms
 
 
 def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
@@ -414,7 +430,10 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
     lines = as_graph6_lines(stream)
     weights = (0.0,) if variant == "rho" else (1.0,)
     rows = _map_items(partial(_staged, partial(_line_decode, 4), weights, tol,
-                              partial(_hamilton_classify, (variant, margin))),
+                              partial(_classify, _Check(
+                                  margin, partial(_hamilton_threshold, variant),
+                                  partial(_ktree_checked, 2),
+                                  partial(_is_hamilton_exception, variant)))),
                       lines, workers)
     return _finalize(
         theorem_id=f"hamilton_path_{'adjacency' if variant == 'rho' else 'signless_laplacian'}",
@@ -428,23 +447,14 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 
 
 @lru_cache(maxsize=None)
-def _ktree_threshold(n: int, k: int, a: float, tol: float) -> float:
+def _ktree_threshold(k: int, a: float, tol: float, n: int) -> float:
     """The radius of a*D + A of the order-n extremal graph."""
     ((threshold,),), _ = radii([ktree_extremal(n, k)], (a,), tol)
     return threshold
 
 
-def _ktree_classify(params: tuple, row: dict, g: Graph, context: None,
-                    radii: list[float]) -> None:
-    k, a, tol, margin = params
-    value, = radii
-    threshold = _ktree_threshold(g.n, k, a, tol)
-    row["value"] = value
-    row["threshold"] = threshold
-
-    row["verdict"], row["certificate_type"] = _classify(
-        value, threshold, margin, partial(_ktree_checked, row, g, k),
-        lambda: is_ktree_extremal(g, g.n, k))
+def _is_ktree_extremal(k: int, g: Graph, context: None) -> bool:
+    return is_ktree_extremal(g, g.n, k)
 
 
 def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
@@ -466,7 +476,9 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
         raise GraphInputError("the threshold comparison is stated for a in {0, 1}")
     lines = as_graph6_lines(stream)
     rows = _map_items(partial(_staged, partial(_line_decode, 2 * k + 16), (float(a),), tol,
-                              partial(_ktree_classify, (k, float(a), tol, margin))),
+                              partial(_classify, _Check(
+                                  margin, partial(_ktree_threshold, k, float(a), tol),
+                                  partial(_ktree_checked, k), partial(_is_ktree_extremal, k)))),
                       lines, workers)
     return _finalize(
         theorem_id=f"ktree_{'adjacency' if a in (0, 0.0) else 'signless_laplacian'}",
@@ -479,35 +491,28 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
 # bipartite perfect matchings
 
 
-def _matching_decode(params: tuple, bits: int
+def _matching_decode(n: int, delta: int, threshold: float | None, bits: int
                      ) -> tuple[dict, Graph | None, BipartiteGraph | None]:
-    n, delta, threshold = params
     b = bipartite_from_bits(n, bits)
     g = b.to_graph()
-    row = {"graph6": to_graph6(g).decode("ascii"), "bits": bits, "n": g.n,
-           "m": g.m, "value": None, "threshold": None, "verdict": VACUOUS,
-           "certificate_type": None}
+    row = _item_row(to_graph6(g).decode("ascii"), g.n, g.m)
+    row["bits"] = bits  # not a keyword: packing one would cost per pattern
     if threshold is None or min_degree(g) != delta:
         return row, None, None
     return row, g, b
 
 
-def _matching_classify(params: tuple, row: dict, g: Graph, b: BipartiteGraph,
-                       radii: list[float]) -> None:
-    n, delta, threshold, margin = params
-    value, = radii
-    row["value"] = value
-    row["threshold"] = threshold
+def _matching_certified(row: dict, g: Graph, b: BipartiteGraph) -> tuple[bool, str]:
+    found = isinstance(perfect_matching(b), PerfectMatching)
+    return found, "matching" if found else "hall_violator"
 
-    def run_certifier():
-        result = perfect_matching(b)
-        if isinstance(result, PerfectMatching):
-            return True, "matching"
-        return False, "hall_violator"
 
-    row["verdict"], row["certificate_type"] = _classify(
-        value, threshold, margin, run_certifier,
-        lambda: is_matching_extremal(b, n, delta))
+def _is_matching_extremal(n: int, delta: int, g: Graph, b: BipartiteGraph) -> bool:
+    return is_matching_extremal(b, n, delta)
+
+
+def _constant(value: float, n: int) -> float:
+    return value
 
 
 def _sqrt_guard(delta: int) -> float:
@@ -552,8 +557,10 @@ def verify_matching_condition(n: int, delta: int, a: float = 0.0,
 
     items = bipartite_bit_stream(n, sample_count, seed)
     rows = _map_items(
-        partial(_staged, partial(_matching_decode, (n, delta, threshold)), (float(a),), tol,
-                partial(_matching_classify, (n, delta, threshold, margin))),
+        partial(_staged, partial(_matching_decode, n, delta, threshold), (float(a),), tol,
+                partial(_classify, _Check(margin, partial(_constant, threshold),
+                                          _matching_certified,
+                                          partial(_is_matching_extremal, n, delta)))),
         items, workers)
     matrix_kind = "adjacency" if a in (0, 0.0) else "signless_laplacian"
     return _finalize(
@@ -605,14 +612,10 @@ def verify_cut_family_monotonicity(max_n: int = 20, max_s: int = 4,
     rows = []
     for n, s, parts, i, top in cases:
         line, m = to_graph6(graphs[i]).decode("ascii"), graphs[i].m
-        for a, value, larger in zip((0.0, 1.0), values[i], values[top]):
-            rows.append({
-                "graph6": line,
-                "item": f"n={n} s={s} parts={parts} a={a:g}",
-                "n": n, "m": m, "value": value, "threshold": larger,
-                "verdict": CONFIRMED if larger - value > tol else VIOLATED,
-                "certificate_type": None,
-            })
+        rows += [_item_row(line, n, m, value, larger,
+                           CONFIRMED if larger - value > tol else VIOLATED,
+                           item=f"n={n} s={s} parts={parts} a={a:g}")
+                 for a, value, larger in zip((0.0, 1.0), values[i], values[top])]
     return _finalize(
         theorem_id="cut_family_monotonicity",
         population=f"partition grid n<={max_n}, s<={max_s}, t<={max_t}",
@@ -629,18 +632,11 @@ def verify_matching_family_monotonicity(max_n: int = 30, *,
     """
     keys = [(n, s) for n in range(3, max_n + 1) for s in range((n - 1) // 2 + 1)]
     values, _ = radii([matching_extremal(n, s).to_graph() for n, s in keys], (0.0, 1.0), tol)
-    rows = []
-    for i, (n, s) in enumerate(keys):
-        if s == 0:  # rows are exactly 1 <= s < n/2; (n, s - 1) is keys[i - 1]
-            continue
-        for a, value, larger in zip((0.0, 1.0), values[i], values[i - 1]):
-            rows.append({
-                "graph6": None,
-                "item": f"n={n} s={s} a={a:g}",
-                "n": 2 * n, "m": None, "value": value, "threshold": larger,
-                "verdict": CONFIRMED if larger - value > tol else VIOLATED,
-                "certificate_type": None,
-            })
+    # rows are exactly 1 <= s < n/2; (n, s - 1) is keys[i - 1]
+    rows = [_item_row(None, 2 * n, None, value, larger,
+                      CONFIRMED if larger - value > tol else VIOLATED, item=f"n={n} s={s} a={a:g}")
+            for i, (n, s) in enumerate(keys) if s > 0
+            for a, value, larger in zip((0.0, 1.0), values[i], values[i - 1])]
     return _finalize(
         theorem_id="matching_family_monotonicity",
         population=f"1 <= s < n/2, n <= {max_n}",
@@ -684,57 +680,41 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
     if n < 2 * delta + 2:
         raise GraphInputError(f"edge deletion needs n >= 2*delta+2 = {2 * delta + 2}, "
                               f"got n={n}")
-    if seed < 0:
-        raise GraphInputError(f"seed must be nonnegative, got {seed}")
+    rng = _seeded_rng(seed)
     below_guard = n < _sqrt_guard(delta)
     failed = VACUOUS if below_guard else VIOLATED
     ext = matching_extremal(n, delta).to_graph()  # X is 0..n-1, Y is n..2n-1
     threshold = sqrt_threshold(n, delta)
 
-    def below_threshold(value: float) -> str:
-        if value < threshold - margin:
-            return CONFIRMED
-        return failed if value > threshold + margin else VACUOUS
-
     # deletion types preserving minimum degree: Y1 x X2 and X2 x Y2
     type1 = [(x, y) for x in range(delta + 1, n) for y in range(delta)]
     type2 = [(x, y) for x in range(delta + 1, n) for y in range(delta, n)]
     deletable = type1 + type2
-    singles = [ext.delete_edge(x, n + y) for x, y in deletable]
-    assert all(min_degree(h) == delta for h in singles)
-    rng = np.random.default_rng(seed)
-    deep = []  # (item, graph): two distinct edges of ext, so both deletions succeed
-    while len(deep) < deep_samples:
+    items = ["extremal"] + [f"delete_type{1 if y < delta else 2} x={x} y={y}"
+                            for x, y in deletable]
+    graphs = [ext] + [ext.delete_edge(x, n + y) for x, y in deletable]
+    assert all(min_degree(h) == delta for h in graphs[1:])
+    while len(graphs) < 1 + len(deletable) + deep_samples:
+        # two distinct edges of ext, so both deletions succeed
         picks = [deletable[int(i)] for i in rng.choice(len(deletable), size=2, replace=False)]
         h = ext
         for x, y in picks:
             h = h.delete_edge(x, n + y)
         if min_degree(h) == delta:
-            deep.append((f"deep_delete {sorted(picks)}", h))
-
-    labels = ([f"delete_type1 x={x} y={y}" for x, y in type1]
-              + [f"delete_type2 x={x} y={y}" for x, y in type2])
-    values = [value for value, in radii([ext] + singles + [h for _, h in deep], (0.0,), tol)[0]]
-
-    def row(item: str, g: Graph, value: float, verdict: str) -> dict:
-        return {"graph6": to_graph6(g).decode("ascii"), "item": item, "n": 2 * n,
-                "m": g.m, "value": value, "threshold": threshold, "verdict": verdict,
-                "certificate_type": None}
-
-    rows = [row("extremal", ext, values[0],
-                EXTREMAL if values[0] >= threshold - margin else failed)]
-    rows += [row(label, h, value, below_threshold(value))
-             for label, h, value in zip(labels, singles, values[1:])]
+            items.append(f"deep_delete {sorted(picks)}")
+            graphs.append(h)
+    values = [value for value, in radii(graphs, (0.0,), tol)[0]]
+    verdicts = [EXTREMAL if values[0] >= threshold - margin else failed]
+    verdicts += [CONFIRMED if value < threshold - margin
+                 else failed if value > threshold + margin else VACUOUS for value in values[1:]]
+    rows = [_item_row(to_graph6(h).decode("ascii"), 2 * n, h.m, value, threshold, verdict,
+                      item=item)
+            for item, h, value, verdict in zip(items, graphs, values, verdicts)]
     low2 = min(values[1 + len(type1):1 + len(deletable)])
     high1 = max(values[1:1 + len(type1)])
-    rows.append({
-        "graph6": None, "item": "type2_above_type1", "n": 2 * n, "m": None,
-        "value": low2, "threshold": high1,
-        "verdict": CONFIRMED if low2 > high1 else failed,
-        "certificate_type": None,
-    })
-    rows += [row(label, h, value, below_threshold(value))
-             for (label, h), value in zip(deep, values[1 + len(deletable):])]
+    rows.insert(1 + len(deletable), _item_row(None, 2 * n, None, low2, high1,
+                                              CONFIRMED if low2 > high1 else failed,
+                                              item="type2_above_type1"))
     return _finalize(
         theorem_id="edge_deletion_bound",
         population=f"single and sampled double edge deletions at n={n}, delta={delta}",

@@ -25,11 +25,12 @@ def _g6(g):
     return to_graph6(g).decode()
 
 
-def _rejected_one_line(flags, capsys):
-    assert main(["verify", "bounds", "--max-n", "4", *flags]) == 1
+def _rejected_one_line(flags, capsys, command=("verify", "bounds", "--max-n", "4")):
+    assert main([*command, *flags]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 def test_run_config_validation(capsys):
@@ -44,6 +45,17 @@ def test_workers_above_the_cpu_count_are_rejected(capsys, monkeypatch):
     _rejected_one_line(["--workers", "3"], capsys)
     monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown counts as one
     _rejected_one_line(["--workers", "2"], capsys)
+
+
+def test_negative_seed_is_rejected_where_a_stream_is_sampled(capsys):
+    for command in (["verify", "ktree", "--k", "3"],
+                    ["verify", "ktree", "--k", "3", "--count", "4"],
+                    ["verify", "matching", "--nx", "5"],
+                    ["verify", "matching-sqrt", "--nx", "3", "--count", "5"]):
+        err = _rejected_one_line(["--seed", "-1"], capsys, command)
+        assert err == "error: seed must be nonnegative, got -1\n"
+    # an exhaustive stream ignores the seed
+    assert main(["verify", "matching", "--nx", "2", "--seed", "-1"]) == 0
 
 
 def test_run_config_rejects_non_finite(capsys):

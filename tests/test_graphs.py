@@ -51,6 +51,18 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(1, 1)])
 
 
+def test_bipartite_constructor_checks_the_shape():
+    assert BipartiteGraph(2, 3, [[1, 0, 1], [0, 1, 1]]).x_masks == (0b101, 0b110)
+    assert BipartiteGraph(0, 3, np.zeros((0, 3))).nx == 0
+    # a transposed matrix or a flat list of the right size is another graph,
+    # not a reshape of this one
+    for biadj, shape in [(np.ones((3, 2)), (3, 2)), ([1, 0, 1, 0, 1, 1], (6,)),
+                         (np.ones((2, 4)), (2, 4))]:
+        with pytest.raises(GraphInputError) as info:
+            BipartiteGraph(2, 3, biadj)
+        assert str(info.value) == f"biadjacency shape {shape} does not match nx=2, ny=3"
+
+
 def test_graph_is_immutable():
     g = complete_graph(3)
     with pytest.raises(ValueError):

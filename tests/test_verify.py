@@ -181,6 +181,58 @@ def test_harnesses_raise_on_an_invalid_k_tree(monkeypatch):
             run()
 
 
+# (where the value lies, certificate found, extremal) -> (verdict,
+# certificate_type, certifier calls, recognizer calls), at threshold 10 and
+# margin 0.1
+_ROUTES = {
+    ("below", True, True): (VACUOUS, None, 0, 0),
+    ("below", True, False): (VACUOUS, None, 0, 0),
+    ("below", False, True): (VACUOUS, None, 0, 0),
+    ("below", False, False): (VACUOUS, None, 0, 0),
+    ("inside", True, True): (EXTREMAL, None, 0, 1),
+    ("inside", False, True): (EXTREMAL, None, 0, 1),
+    ("inside", True, False): (CONFIRMED, "cert", 1, 1),
+    ("inside", False, False): (VACUOUS, "cert", 1, 1),
+    ("above", True, True): (CONFIRMED, "cert", 1, 0),
+    ("above", True, False): (CONFIRMED, "cert", 1, 0),
+    ("above", False, True): (EXTREMAL, "cert", 1, 1),
+    ("above", False, False): (VIOLATED, "cert", 1, 1),
+}
+
+
+@pytest.mark.parametrize("where, found, extremal", sorted(_ROUTES))
+def test_classify_routing(where, found, extremal):
+    from spectralcert.verify import _Check, _classify
+
+    calls = {"threshold": 0, "certify": 0, "is_extremal": 0}
+    row, g, context = {"graph6": "x"}, complete_graph(5), object()
+
+    def threshold(n):
+        calls["threshold"] += 1
+        assert n == 5
+        return 10.0
+
+    def certify(*args):
+        calls["certify"] += 1
+        assert args == (row, g, context)
+        return found, "cert"
+
+    def is_extremal(*args):
+        calls["is_extremal"] += 1
+        assert args == (g, context)
+        return extremal
+
+    check = _Check(0.1, threshold, certify, is_extremal)
+    values = {"below": [8.0, 9.89], "inside": [9.95, 10.0, 10.05], "above": [10.11, 12.0]}
+    for value in values[where]:
+        calls.update(threshold=0, certify=0, is_extremal=0)
+        _classify(check, row, g, context, [value])
+        assert (row["verdict"], row["certificate_type"], calls["certify"],
+                calls["is_extremal"]) == _ROUTES[where, found, extremal]
+        assert calls["threshold"] == 1
+        assert (row["value"], row["threshold"]) == (value, 10.0)
+
+
 def test_matching_condition_exhaustive_3():
     for a in (0, 1):
         report = verify_matching_condition(3, 1, a, "family")
