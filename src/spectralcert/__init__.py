@@ -5,48 +5,10 @@ spanning trees with bounded degree and for bipartite perfect matchings,
 computes certified largest eigenvalues, and couples both to exact
 combinatorial certifiers so the underlying statements can be checked
 empirically at desk scale.
+
+The package root defines only ``__version__``.  Import from the submodules:
+``graphs``, ``spectral``, ``certifiers``, ``families``, ``smallgraphs``,
+``verify``, ``errors`` and ``cli``.
 """
-
-from .graphs import (
-    BipartiteGraph,
-    Graph,
-    bipartite_join,
-    build_graph,
-    complete_bipartite,
-    complete_graph,
-    components_after_removal,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    from_graph6,
-    is_connected,
-    join,
-    min_degree,
-    path_graph,
-    rotate_edges,
-    star_graph,
-    to_graph6,
-)
-
-__all__ = [
-    "BipartiteGraph",
-    "Graph",
-    "bipartite_join",
-    "build_graph",
-    "complete_bipartite",
-    "complete_graph",
-    "components_after_removal",
-    "cycle_graph",
-    "disjoint_union",
-    "empty_graph",
-    "from_graph6",
-    "is_connected",
-    "join",
-    "min_degree",
-    "path_graph",
-    "rotate_edges",
-    "star_graph",
-    "to_graph6",
-]
 
 __version__ = "0.1.0"

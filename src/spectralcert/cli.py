@@ -10,17 +10,22 @@ Only ``spectral``, ``closed-form``, ``quotient`` and ``verify`` load numpy
 and the eigensolver stack; ``certify`` and ``gen-family`` work on bitmasks
 alone, so they start without either.  Each handler imports what it uses.
 
+Options follow the subcommand and its target (``verify ktree --k 4``).
+Each ``verify`` target takes only the options it reads (``_VERIFY_TARGETS``),
+so argparse refuses the rest, and ``--stream`` refuses the options that
+would shape the stream it replaces.
+
 Exit codes: 0 success, 1 usage or input error, 2 a verification run found
-violations, 3 the eigensolver failed to converge.  Graph arguments are a
-literal graph6 string or ``-`` to read graph6 lines from stdin (blank lines
-ignored).  Randomized subcommands print the seed they used.
+violations, 3 the eigensolver failed to converge.  Every error, argparse's
+usage errors included, is one ``error:`` line on stderr.  Graph arguments
+are a literal graph6 string or ``-`` to read graph6 lines from stdin (blank
+lines ignored).  Randomized subcommands print the seed they used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -30,7 +35,7 @@ from .certifiers import (
     find_win_violator,
     perfect_matching,
 )
-from .errors import DEFAULT_MARGIN, DEFAULT_TOL, ConvergenceError, GraphInputError
+from .errors import DEFAULT_MARGIN, DEFAULT_TOL, ConvergenceError, GraphInputError, check_tolerances
 from .graphs import BipartiteGraph, Graph, _bits, _reach, from_graph6, to_graph6
 
 EXIT_OK = 0
@@ -40,16 +45,10 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that uses exit code 1 for usage errors."""
+    """argparse variant whose usage errors are one line, with exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_tol(parser: _Parser) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="eigensolver residual tolerance")
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _stdin_lines() -> list[str]:
@@ -219,7 +218,7 @@ def _cmd_quotient(args) -> int:
 def _stream_for(args) -> list[str]:
     from .verify import connected_corpus_stream
 
-    if args.stream:
+    if args.stream is not None:
         if args.stream == "-":
             return _stdin_lines()
         with open(args.stream, errors="surrogateescape") as handle:
@@ -227,7 +226,19 @@ def _stream_for(args) -> list[str]:
     return connected_corpus_stream(args.min_n, args.max_n)
 
 
+# verify options that default to None, and their values when not given; they shape
+# the stream --stream replaces, so it refuses them (--n is 2k + 16 where it is read)
+_UNSET = {"min_n": 4, "max_n": 8, "n": None, "count": 0, "p": 0.9, "seed": 0}
+
+
 def _cmd_verify(args) -> int:
+    # before the imports, so that a refused --stream loads no numpy
+    given = [name for name in _UNSET if vars(args).get(name) is not None]
+    if getattr(args, "stream", None) is not None and given:
+        raise GraphInputError(f"--stream cannot be combined with --{given[0].replace('_', '-')}")
+    vars(args).update({name: value for name, value in _UNSET.items()
+                       if vars(args).get(name, 0) is None})
+
     from .families import ktree_extremal
     from .verify import (
         random_connected_stream,
@@ -247,7 +258,7 @@ def _cmd_verify(args) -> int:
             _stream_for(args), "rho" if target == "hamilton-rho" else "q",
             tol=args.tol, margin=args.margin, workers=args.workers)
     elif target == "ktree":
-        if args.stream:
+        if args.stream is not None:
             lines = _stream_for(args)
         else:
             n = args.n if args.n else 2 * args.k + 16
@@ -257,10 +268,7 @@ def _cmd_verify(args) -> int:
         report = verify_ktree_condition(lines, args.k, args.a, tol=args.tol,
                                         margin=args.margin, workers=args.workers)
     elif target in ("matching", "matching-sqrt"):
-        if args.nx > 4:
-            sample = args.count or 10000
-        else:
-            sample = args.count or None
+        sample = args.count or (10000 if args.nx > 4 else None)
         seeded = sample is not None
         report = verify_matching_condition(
             args.nx, args.delta, args.a,
@@ -288,6 +296,48 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
+# the --tol entry also serves spectral and closed-form
+_VERIFY_OPTIONS = {
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="eigensolver residual tolerance"),
+    "--stream": dict(type=str, default=None,
+                     help="graph6 file or - for stdin, in place of the generated stream"),
+    "--min-n": dict(type=int, default=None, help="least order of the corpus (default 4)"),
+    "--max-n": dict(type=int, default=None, help="largest corpus or sweep order (default 8)"),
+    "--max-s": dict(type=int, default=4),
+    "--max-t": dict(type=int, default=5),
+    "--n": dict(type=int, default=None, help="order for ktree streams (default 2k + 16)"),
+    "--nx": dict(type=int, default=4, help="part size for bipartite streams"),
+    "--delta": dict(type=int, default=1),
+    "--k": dict(type=int, default=3),
+    "--a": dict(type=float, default=0.0),
+    "--count": dict(type=int, default=None,
+                    help="random sample size (default 0 = exhaustive where available)"),
+    "--p": dict(type=float, default=None, help="edge probability for random streams (default 0.9)"),
+    "--report": dict(type=str, default=None, help="write JSON report here"),
+    "--csv": dict(type=str, default=None, help="write per-graph CSV here"),
+    "--margin": dict(type=float, default=DEFAULT_MARGIN, help="threshold comparison margin"),
+    "--workers": dict(type=int, default=1,
+                      help="parallel workers for stream harnesses, on one fork pool "
+                           "per process: started on first use, shut down at exit"),
+    "--seed": dict(type=int, default=None, help="seed for randomized streams (default 0)"),
+}
+
+# the options each verify target reads besides --tol, --report and --csv
+_CORPUS = ("--stream", "--min-n", "--max-n")
+_BIPARTITE = ("--nx", "--delta", "--a", "--count", "--seed", "--margin", "--workers")
+_VERIFY_TARGETS = {
+    "hamilton-rho": _CORPUS + ("--margin", "--workers"),
+    "hamilton-q": _CORPUS + ("--margin", "--workers"),
+    "ktree": ("--stream", "--n", "--k", "--a", "--count", "--p", "--seed", "--margin", "--workers"),
+    "matching": _BIPARTITE,
+    "matching-sqrt": _BIPARTITE,
+    "cut-monotone": ("--max-n", "--max-s", "--max-t"),
+    "matching-monotone": ("--max-n",),
+    "edge-deletion": ("--nx", "--delta", "--margin", "--seed"),
+    "bounds": _CORPUS + ("--workers",),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spectralcert",
                      description="spectral certificates for spanning trees and matchings")
@@ -297,7 +347,7 @@ def _build_parser() -> _Parser:
     p.add_argument("source", help="graph6 string or - for stdin")
     p.add_argument("--a", type=float, default=0.0,
                    help="diagonal weight (0 adjacency, 1 signless Laplacian)")
-    _add_tol(p)
+    p.add_argument("--tol", **_VERIFY_OPTIONS["--tol"])
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("gen-family", help="emit an extremal family member as graph6")
@@ -320,7 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("form", choices=["rho", "q"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    _add_tol(p)
+    p.add_argument("--tol", **_VERIFY_OPTIONS["--tol"])
     p.set_defaults(fn=_cmd_closed_form)
 
     p = sub.add_parser("certify", help="certificate JSON per graph")
@@ -341,34 +391,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("verify", help="run a verification harness")
-    p.add_argument("target", choices=["hamilton-rho", "hamilton-q", "ktree",
-                                      "matching", "matching-sqrt", "cut-monotone",
-                                      "matching-monotone", "edge-deletion", "bounds"])
-    p.add_argument("--stream", type=str, default=None,
-                   help="graph6 file or - for stdin (default: the internal corpus of "
-                        "every connected graph with --min-n to --max-n vertices)")
-    p.add_argument("--min-n", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-s", type=int, default=4)
-    p.add_argument("--max-t", type=int, default=5)
-    p.add_argument("--n", type=int, default=None, help="order for ktree streams")
-    p.add_argument("--nx", type=int, default=4, help="part size for bipartite streams")
-    p.add_argument("--delta", type=int, default=1)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--count", type=int, default=0,
-                   help="random sample size (0 = exhaustive where available)")
-    p.add_argument("--p", type=float, default=0.9, help="edge probability for random streams")
-    p.add_argument("--report", type=str, default=None, help="write JSON report here")
-    p.add_argument("--csv", type=str, default=None, help="write per-graph CSV here")
-    _add_tol(p)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
-                   help="threshold comparison margin")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for stream harnesses, on one fork pool "
-                        "per process: started on first use, shut down at exit")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized streams")
-    p.set_defaults(fn=_cmd_verify)
+    target = p.add_subparsers(dest="target", required=True)
+    for name, flags in _VERIFY_TARGETS.items():
+        # no abbreviations: --n would pass as --nx where only --nx is read
+        tp = target.add_parser(name, allow_abbrev=False)
+        for flag in flags + ("--tol", "--report", "--csv"):
+            tp.add_argument(flag, **_VERIFY_OPTIONS[flag])
+        tp.set_defaults(fn=_cmd_verify)
     return parser
 
 
@@ -379,25 +408,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "tol") and not 0 < args.tol < math.inf:
-            raise GraphInputError("tolerance must be positive and finite")
-        if hasattr(args, "margin") and not args.tol <= args.margin < math.inf:
-            raise GraphInputError("margin must be finite and at least the tolerance")
+        if hasattr(args, "tol"):
+            check_tolerances(args.tol, getattr(args, "margin", None))
         workers, cpus = getattr(args, "workers", 1), os.cpu_count() or 1
         if workers < 1:
             raise GraphInputError("worker count must be positive")
         if workers > cpus:
             raise GraphInputError(f"worker count must be at most the CPU count, {cpus}")
         return args.fn(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, GraphInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except GraphInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, ConvergenceError) else EXIT_USAGE
 
 
 def run() -> None:

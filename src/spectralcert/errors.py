@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and its two numeric defaults.
+"""Exception types shared across the package, its numeric defaults and their check.
 
-The defaults live here, beside ``ConvergenceError``, because the CLI parser
-needs them and this module loads without numpy; ``spectral.DEFAULT_TOL`` and
-``verify.DEFAULT_MARGIN`` are the same objects.
+The defaults and ``check_tolerances`` live here, beside ``ConvergenceError``,
+because the CLI parser needs them and this module loads without numpy;
+``spectral.DEFAULT_TOL`` and ``verify.DEFAULT_MARGIN`` are the same objects.
 """
+
+import math
 
 DEFAULT_TOL = 1e-10  # eigensolver residual tolerance
 DEFAULT_MARGIN = 1e-8  # threshold comparison margin
@@ -11,6 +13,14 @@ DEFAULT_MARGIN = 1e-8  # threshold comparison margin
 
 class GraphInputError(ValueError):
     """Invalid argument to a graph operation (bad vertex, self-loop, bad parameter)."""
+
+
+def check_tolerances(tol: float, margin: float | None = None) -> None:
+    """Refuse a tolerance or margin that would void a certificate or verdict."""
+    if not 0 < tol < math.inf:
+        raise GraphInputError("tolerance must be positive and finite")
+    if margin is not None and not tol <= margin < math.inf:
+        raise GraphInputError("margin must be finite and at least the tolerance")
 
 
 class Graph6ParseError(GraphInputError):

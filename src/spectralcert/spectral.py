@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DEFAULT_TOL, ConvergenceError, DomainError, GraphInputError
+from .errors import DEFAULT_TOL, ConvergenceError, DomainError, GraphInputError, check_tolerances
 from .graphs import Graph, _bits, _components, _mask_rows, _row_masks
 
 # Inverse-iteration solves allowed per block before the certificate fails.
@@ -166,8 +166,7 @@ def spectral_radius(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralResult:
     the first block, in member then block order, whose residual certificate
     cannot be met; its ``member`` is the index in the stack.
     """
-    if tol <= 0:
-        raise GraphInputError("tolerance must be positive")
+    check_tolerances(tol)
     m = _validate_matrix(m)
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)

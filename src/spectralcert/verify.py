@@ -55,7 +55,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .certifiers import PerfectMatching, find_k_tree, is_valid_ktree, perfect_matching
-from .errors import DEFAULT_MARGIN, GraphInputError
+from .errors import DEFAULT_MARGIN, GraphInputError, check_tolerances
 from .families import (
     is_ktree_extremal,
     is_matching_extremal,
@@ -425,6 +425,7 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
     known exceptional graphs; variant "q": signless Laplacian radius >= 2n-5,
     with its own exception list.
     """
+    check_tolerances(tol, margin)
     if variant not in ("rho", "q"):
         raise GraphInputError(f"variant must be 'rho' or 'q', got {variant!r}")
     lines = as_graph6_lines(stream)
@@ -470,6 +471,7 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
     graph raises the error of the lowest stream index, as in every streamed
     harness.
     """
+    check_tolerances(tol, margin)
     if k < 3:
         raise GraphInputError(f"the spanning-tree threshold needs k >= 3, got {k}")
     if a not in (0.0, 1.0, 0, 1):
@@ -537,6 +539,7 @@ def verify_matching_condition(n: int, delta: int, a: float = 0.0,
     which is valid once n clears its cubic guard in delta (smaller n are all
     vacuous).
     """
+    check_tolerances(tol, margin)
     if n < 1:
         raise GraphInputError(f"part size must be positive, got {n}")
     if delta < 1:
@@ -595,6 +598,7 @@ def verify_cut_family_monotonicity(max_n: int = 20, max_s: int = 4,
     whose largest part is not already maximal, and a in {0, 1}: the family
     value must be strictly below the concentrated family value.
     """
+    check_tolerances(tol)
     graphs, cases = [], []  # cases: (n, s, parts, graph index, concentrated index)
     for n in range(3, max_n + 1):
         for s in range(1, max_s + 1):
@@ -630,6 +634,7 @@ def verify_matching_family_monotonicity(max_n: int = 30, *,
     Compares the (n, s) matching-extremal radius against (n, s-1) for every
     1 <= s < n/2 and a in {0, 1}; both sides are eigensolved.
     """
+    check_tolerances(tol)
     keys = [(n, s) for n in range(3, max_n + 1) for s in range((n - 1) // 2 + 1)]
     values, _ = radii([matching_extremal(n, s).to_graph() for n, s in keys], (0.0, 1.0), tol)
     # rows are exactly 1 <= s < n/2; (n, s - 1) is keys[i - 1]
@@ -675,6 +680,7 @@ def verify_edge_deletion_bound(n: int, delta: int, *,
     fails at n = 6..8 for delta = 2, 8..19 for delta = 3 and 40..41 for
     delta = 4.
     """
+    check_tolerances(tol, margin)
     if delta < 1:
         raise GraphInputError(f"minimum degree must be at least 1, got {delta}")
     if n < 2 * delta + 2:
@@ -743,6 +749,7 @@ def _bounds_classify(tol: float, row: dict, g: Graph, context: None,
 def verify_bounds(stream: Iterable[Graph | str | bytes], *,
                   tol: float = DEFAULT_TOL, workers: int = 1) -> VerificationReport:
     """Edge-count bounds dominate both spectral radii on connected graphs."""
+    check_tolerances(tol)
     lines = as_graph6_lines(stream)
     rows = _map_items(partial(_staged, partial(_line_decode, 1), (0.0, 1.0), tol,
                               partial(_bounds_classify, tol)), lines, workers)

@@ -563,3 +563,134 @@ def test_certify_and_gen_family_do_not_load_numpy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == str([False] * (1 + len(runs)) + [True])
+
+
+def _verify_reads():
+    from spectralcert.cli import _VERIFY_OPTIONS, _VERIFY_TARGETS
+
+    options = set(_VERIFY_OPTIONS) | {"--tol"}
+    reads = {target: set(flags) | {"--tol", "--report", "--csv"}
+             for target, flags in _VERIFY_TARGETS.items()}
+    return options, reads
+
+
+def test_verify_target_table():
+    options, reads = _verify_reads()
+    assert len(options) == 18 and len(reads) == 9
+    assert set().union(*reads.values()) == options  # every option has a reader
+    assert sum(map(len, reads.values())) == 72
+    # every option a target reads parses, and lands under its own name
+    from spectralcert.cli import _build_parser
+
+    parser = _build_parser()
+    for target, flags in reads.items():
+        for flag in flags:
+            args = parser.parse_args(["verify", target, flag, "7"])
+            assert str(vars(args)[flag[2:].replace("-", "_")]) in ("7", "7.0")
+
+
+def test_verify_targets_refuse_options_they_do_not_read(capsys):
+    options, reads = _verify_reads()
+    for target, flags in reads.items():
+        for flag in sorted(options - flags):
+            err = _rejected_one_line([flag, "7"], capsys, ("verify", target))
+            assert err == f"error: unrecognized arguments: {flag} 7\n"
+    # no abbreviation stands in for an option a target does not read
+    for target in ("matching", "matching-sqrt", "edge-deletion"):
+        _rejected_one_line(["--n", "7"], capsys, ("verify", target))
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv in ([], ["verify"], ["verify", "nonsense"], ["verify", "ktree", "--k"],
+                 ["certify", "ktree", "--k", "two", "C~"], ["spectral"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        _one_error_line(err)
+
+
+def test_stream_refuses_the_options_that_generate_the_stream(tmp_path, capsys):
+    stream = tmp_path / "in.g6"
+    stream.write_text(f"{_g6(complete_graph(5))}\n")
+    generated = {"ktree": ("--n", "--count", "--p", "--seed"),
+                 "hamilton-rho": ("--min-n", "--max-n"),
+                 "hamilton-q": ("--min-n", "--max-n"),
+                 "bounds": ("--min-n", "--max-n")}
+    for target, flags in generated.items():
+        for flag in flags:
+            err = _rejected_one_line(["--stream", str(stream), flag, "1"], capsys,
+                                     ("verify", target))
+            assert err == f"error: --stream cannot be combined with {flag}\n"
+    _rejected_one_line(["--stream", str(stream), "--count", "5", "--p", "0.5", "--seed", "9"],
+                       capsys, ("verify", "ktree"))
+    # an empty --stream names no file; it used to stand for no stream at all
+    for target in ("ktree", "hamilton-rho", "bounds"):
+        err = _rejected_one_line(["--stream", ""], capsys, ("verify", target))
+        assert "No such file or directory" in err
+    # the stream alone still runs; it prints no seed
+    assert main(["verify", "ktree", "--k", "3", "--stream", str(stream)]) == 0
+    assert main(["verify", "hamilton-rho", "--stream", str(stream)]) == 0
+    assert "seed=" not in capsys.readouterr().out
+
+
+def test_verify_defaults_fill_in_where_read(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    for target in ("cut-monotone", "matching-monotone"):
+        assert main(["verify", target, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["max_n"] == 8
+    capsys.readouterr()
+    rows = tmp_path / "r.csv"
+    assert main(["verify", "ktree", "--k", "3", "--csv", str(rows)]) == 0
+    assert capsys.readouterr().out.startswith("seed=0\n")
+    header, *lines = [line.split(",") for line in rows.read_text().splitlines()]
+    # count 0: the order-22 extremal graph alone
+    assert [line[header.index("n")] for line in lines] == ["22"]
+
+
+def test_tolerance_rule_on_a_target_that_reads_the_margin(capsys):
+    command = ("verify", "hamilton-rho", "--max-n", "4")
+    assert main(list(command)) == 0
+    capsys.readouterr()
+    tolerance = "error: tolerance must be positive and finite\n"
+    margin = "error: margin must be finite and at least the tolerance\n"
+    for tol, mgn, message in [("1e-6", "1e-8", margin), ("nan", "1e-8", tolerance),
+                              ("1e-10", "nan", margin), ("inf", "inf", tolerance),
+                              ("1e-10", "inf", margin)]:
+        assert _rejected_one_line(["--tol", tol, "--margin", mgn], capsys, command) == message
+
+
+def test_targets_without_a_margin_take_a_tolerance_above_the_default_margin(capsys):
+    for target in ("bounds", "cut-monotone", "matching-monotone"):
+        assert main(["verify", target, "--max-n", "4", "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_package_root_defines_no_graphs_name():
+    import spectralcert
+    from spectralcert import graphs
+
+    public = {name for name in vars(graphs) if not name.startswith("_")}
+    assert not public & set(vars(spectralcert))
+    assert "__all__" not in vars(spectralcert)
+    assert spectralcert.__version__ == "0.1.0"
+
+
+def test_refused_stream_loads_no_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys\n"
+             "from spectralcert.cli import main\n"
+             "assert main(['verify', 'ktree', '--stream', '-', '--seed', '1']) == 1\n"
+             "assert 'numpy' not in sys.modules\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, input="",
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "error: --stream cannot be combined with --seed\n"

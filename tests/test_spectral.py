@@ -568,3 +568,12 @@ def test_radii_raise_the_first_failure_alone_from_any_chunk(monkeypatch):
         assert ((info.value.radius, info.value.residual, info.value.iterations)
                 == (exc.radius, exc.residual, exc.iterations))
     assert later >= 2  # the first failure sat past the first chunk of its order
+
+
+def test_spectral_radius_rejects_tolerances_that_void_the_certificate():
+    # an infinite tolerance certifies any residual; NaN used to reach the
+    # solver and fail there as a ConvergenceError
+    m = a_matrix(complete_graph(3), 0.0)
+    for tol in (math.inf, math.nan, 0.0, -1e-10):
+        with pytest.raises(GraphInputError, match="^tolerance must be positive and finite$"):
+            spectral_radius(m, tol)

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -595,3 +596,48 @@ def test_worker_pool_ends_cleanly_at_exit(args):
     # no worker outlives the interpreter: its process group is empty
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_check_tolerances():
+    from spectralcert.errors import check_tolerances
+
+    for tol, margin in [(1e-10, None), (1e-10, 1e-10), (1e-10, 1e-8), (1e300, None)]:
+        check_tolerances(tol, margin)
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(GraphInputError, match="^tolerance must be positive and finite$"):
+            check_tolerances(tol)
+    for margin in (1e-12, -math.inf, math.inf, math.nan):
+        with pytest.raises(GraphInputError,
+                           match="^margin must be finite and at least the tolerance$"):
+            check_tolerances(1e-10, margin)
+
+
+_MARGINED_HARNESSES = [
+    partial(verify_hamilton_condition, ["C~"]),
+    partial(verify_ktree_condition, ["C~"], 3, 0.0),
+    partial(verify_matching_condition, 2, 1),
+    partial(verify_edge_deletion_bound, 4, 1),
+]
+_HARNESSES = _MARGINED_HARNESSES + [
+    partial(verify_cut_family_monotonicity, 4),
+    partial(verify_matching_family_monotonicity, 4),
+    partial(verify_bounds, connected_corpus_stream(4, 4)),
+]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("harness", _HARNESSES, ids=lambda h: h.func.__name__)
+def test_harnesses_reject_tolerances_that_void_the_certificate(harness, tol):
+    # at tol=inf verify_bounds used to confirm every graph of the stream
+    with pytest.raises(GraphInputError, match="^tolerance must be positive and finite$"):
+        harness(tol=tol)
+
+
+@pytest.mark.parametrize("margin", [math.inf, math.nan, 1e-12])
+@pytest.mark.parametrize("harness", _MARGINED_HARNESSES, ids=lambda h: h.func.__name__)
+def test_harnesses_reject_margins_that_void_the_verdict(harness, margin):
+    # an infinite or NaN margin made _classify call a row far above its
+    # threshold without a certificate vacuous instead of violated
+    with pytest.raises(GraphInputError,
+                       match="^margin must be finite and at least the tolerance$"):
+        harness(margin=margin)
