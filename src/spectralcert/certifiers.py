@@ -4,38 +4,14 @@ Every search here is complete: an absent certificate is a proof of
 nonexistence within the stated caps.
 
 * ``find_k_tree``: spanning tree with maximum degree at most k, by
-  edge-addition DFS on an explicit stack over a fixed edge order (most
-  constrained endpoints first).  Its one prune is that the possibility
-  graph (tree edges plus undecided edges with both ends below degree k)
-  stays connected; a per-fragment outward budget is implied, because tree
-  edges lie inside fragments, so a connected possibility graph gives every
-  fragment a usable edge out.  The root test, on g itself, is the
-  connectivity check; below it the test waits for the first dead end, and
-  from then on runs only after the possibility graph lost an edge.  A
-  failed test prunes only subtrees without a k-tree, so the first tree in
-  DFS order, the certificate, is the same whichever tests run.  The DFS
-  branches only on live edges; dead edges (both ends in
-  one fragment, or an end already at degree k) are passed over without a
-  feasibility check.  The edges are scanned as degree-class entries, one
-  vertex u with the mask of its higher neighbours of one degree, so a whole
-  run of dead edges is passed over with one mask test against u's fragment
-  mask; entries sorted by (smaller degree, larger degree, u), bits taken in
-  ascending order, give the same edge order, so the same certificates, as
-  a scan over single edges.
+  depth-first edge addition pruned by a connectivity test.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
   lexicographically, so it is a smallest one.  Components are counted only
   from the boundary N(S) - S, which meets every one of them, and the search
   stops at the first size whose bound reaches the independence number.
-* ``perfect_matching``: augmenting paths from each X root in turn, each
-  found by a depth-first search on an explicit stack, so no path is too
-  long for the interpreter's recursion limit.  The first root with no
-  augmenting path ends the search, and the X vertices it reached are the
-  neighborhood-deficient counter-certificate: their neighbors are the Y
-  vertices it visited, one fewer, each matched inside the set.  A later
-  augmenting path could not leave the set for a free Y, so none changes
-  it, and it is the set alternating paths from the first unmatched vertex
-  reach under a maximum matching.
+* ``perfect_matching``: augmenting paths from each X root in turn; the
+  first root with none gives a neighborhood-deficient X-set.
 * ``count_perfect_matchings_brute``: permanent of the biadjacency matrix by
   inclusion-exclusion, the independent oracle for the matching routines.
 
@@ -362,11 +338,16 @@ def _independence_number(masks: tuple[int, ...]) -> int:
 def perfect_matching(b: BipartiteGraph) -> PerfectMatching | HallViolator:
     """A perfect matching, or a neighborhood-deficient X-set if none exists.
 
-    Each X root in turn grows an alternating path: its last X vertex takes
-    the lowest neighbor bit that this root's search has not visited, a free
-    Y flips the path, and an X vertex with none left is popped.  The first
-    root whose path empties stops the search; the X vertices it reached are
-    the certificate (see the module docstring).
+    Each X root in turn grows an alternating path on an explicit stack, so
+    no path is too long for the interpreter's recursion limit: its last X
+    vertex takes the lowest neighbor bit that this root's search has not
+    visited, a free Y flips the path, and an X vertex with none left is
+    popped.  The first root whose path empties stops the search, and the X
+    vertices it reached are the certificate: their neighbors are the Y
+    vertices it visited, one fewer, each matched inside the set.  A later
+    augmenting path could not leave the set for a free Y, so none changes
+    it, and it is the set alternating paths from the first unmatched vertex
+    reach under a maximum matching.
     """
     if not b.is_balanced():
         raise GraphInputError("perfect matching requires a balanced bipartite graph")

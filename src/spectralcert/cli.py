@@ -123,6 +123,12 @@ def _bipartition(g: Graph) -> BipartiteGraph:
 def _cmd_spectral(args) -> int:
     from .spectral import das_bound, hong_bound, radii
 
+    def shown(bound, g: Graph) -> str:
+        try:
+            return f"{bound(g):.12g}"
+        except GraphInputError:
+            return "NA"
+
     graphs, failure = _read_graphs(args.source), None
     try:
         values, residuals = radii(graphs, (args.a,), args.tol)
@@ -131,17 +137,9 @@ def _cmd_spectral(args) -> int:
         graphs, failure = graphs[:exc.member], exc
         values, residuals = radii(graphs, (args.a,), args.tol)
     for g, (value,), (residual,) in zip(graphs, values, residuals):
-        try:
-            hong = f"{hong_bound(g):.12g}"
-        except GraphInputError:
-            hong = "NA"
-        try:
-            das = f"{das_bound(g):.12g}"
-        except GraphInputError:
-            das = "NA"
         print(f"graph6={to_graph6(g).decode()} n={g.n} m={g.m} a={args.a:g} "
               f"rho_a={value:.12g} residual={residual:.3e} "
-              f"hong={hong} das={das}")
+              f"hong={shown(hong_bound, g)} das={shown(das_bound, g)}")
     if failure is not None:
         raise failure
     return EXIT_OK
@@ -261,7 +259,7 @@ def _cmd_verify(args) -> int:
         if args.stream is not None:
             lines = _stream_for(args)
         else:
-            n = args.n if args.n else 2 * args.k + 16
+            n = args.n if args.n is not None else 2 * args.k + 16
             lines = [to_graph6(ktree_extremal(n, args.k)).decode()]
             lines += random_connected_stream(n, args.count, args.p, args.seed)
             seeded = True

@@ -29,7 +29,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
-    empty_graph,
     join,
 )
 
@@ -51,8 +50,7 @@ def ktree_extremal(n: int, k: int) -> Graph:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
     if n < k + 2:
         raise GraphInputError(f"order must be at least k+2={k + 2}, got {n}")
-    return join(complete_graph(1),
-                disjoint_union([complete_graph(n - k - 1), empty_graph(k)]))
+    return win_family(1, (n - k - 1,) + (1,) * k)
 
 
 def win_family(s: int, parts: tuple[int, ...] | list[int]) -> Graph:
@@ -110,6 +108,12 @@ def _check_matching_params(n: int, delta: int) -> None:
         raise GraphInputError(f"need n >= delta+1 >= 2, got n={n}, delta={delta}")
 
 
+def _root(radicand: float, what: str, n: int, delta: int) -> float:
+    if radicand < 0:
+        raise DomainError(f"{what} negative for n={n}, delta={delta}")
+    return math.sqrt(radicand)
+
+
 def rho_matching_extremal(n: int, delta: int) -> float:
     """Adjacency spectral radius of matching_extremal(n, delta), closed form."""
     _check_matching_params(n, delta)
@@ -117,13 +121,9 @@ def rho_matching_extremal(n: int, delta: int) -> float:
     nf = float(n)
     inner = (nf**4 - 2 * (d + 1) * nf**3 + (1 - d**2) * nf**2
              + 2 * d * (3 * d**2 + 4 * d + 1) * nf - 3 * d**2 * (d + 1) ** 2)
-    if inner < 0:
-        raise DomainError(f"inner radicand negative for n={n}, delta={delta}")
-    f = math.sqrt(inner)
+    f = _root(inner, "inner radicand", n, delta)
     outer = 2 * nf**2 - 2 * (d + 1) * nf + 2 * d * (d + 1) + 2 * f
-    if outer < 0:
-        raise DomainError(f"outer radicand negative for n={n}, delta={delta}")
-    return math.sqrt(outer) / 2
+    return _root(outer, "outer radicand", n, delta) / 2
 
 
 def q_matching_extremal(n: int, delta: int) -> float:
@@ -132,17 +132,12 @@ def q_matching_extremal(n: int, delta: int) -> float:
     d = float(delta)
     nf = float(n)
     radicand = 4 * nf**2 - (8 * d + 4) * nf + 8 * d**2 + 8 * d + 1
-    if radicand < 0:
-        raise DomainError(f"radicand negative for n={n}, delta={delta}")
-    return (2 * nf - 1 + math.sqrt(radicand)) / 2
+    return (2 * nf - 1 + _root(radicand, "radicand", n, delta)) / 2
 
 
 def sqrt_threshold(n: int, delta: int) -> float:
     """sqrt(n(n-delta-1)): the simplified adjacency threshold for matchings."""
-    radicand = n * (n - delta - 1)
-    if radicand < 0:
-        raise DomainError(f"n(n-delta-1) negative for n={n}, delta={delta}")
-    return math.sqrt(radicand)
+    return _root(n * (n - delta - 1), "n(n-delta-1)", n, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,20 @@ def _mask_rows(masks: Sequence[int], width: int) -> np.ndarray:
     return rows
 
 
+def _bool_matrix(entries, what: str) -> np.ndarray:
+    """`entries` as a boolean array, refusing ragged input and any entry
+    other than 0 and 1; a boolean array is taken as it is."""
+    import numpy as np
+
+    try:
+        array = np.asarray(entries)
+    except ValueError:
+        raise GraphInputError(f"{what} must be a rectangular array") from None
+    if array.dtype != bool and not np.isin(array, (0, 1)).all():
+        raise GraphInputError(f"{what} entries must be 0 or 1")
+    return array.astype(bool, copy=False)
+
+
 def _transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
     """Column j of the bit matrix with rows `masks`, as a mask over the rows."""
     cols = [0] * width
@@ -90,7 +104,7 @@ class Graph:
 
         if n < 1:
             raise GraphInputError(f"vertex count must be positive, got {n}")
-        adj = np.asarray(adj, dtype=bool)
+        adj = _bool_matrix(adj, "adjacency")
         if adj.shape != (n, n):
             raise GraphInputError(f"adjacency shape {adj.shape} does not match n={n}")
         if adj.diagonal().any():
@@ -179,11 +193,9 @@ class BipartiteGraph:
     __slots__ = ("_ny", "_x_masks")
 
     def __init__(self, nx: int, ny: int, biadj: np.ndarray):
-        import numpy as np
-
         if nx < 0 or ny < 0:
             raise GraphInputError("part sizes must be nonnegative")
-        biadj = np.asarray(biadj, dtype=bool)
+        biadj = _bool_matrix(biadj, "biadjacency")
         if biadj.shape != (nx, ny):
             raise GraphInputError(
                 f"biadjacency shape {biadj.shape} does not match nx={nx}, ny={ny}")
@@ -394,8 +406,7 @@ def components_after_removal(g: Graph, removed: Iterable[int]) -> int:
     """
     mask = 0
     for v in removed:
-        if not 0 <= v < g.n:
-            raise GraphInputError(f"vertex {v} out of range 0..{g.n - 1}")
+        g._check_vertex(v)
         mask |= 1 << v
     alive = ((1 << g.n) - 1) & ~mask
     return len(_components(g.neighbor_masks, alive))

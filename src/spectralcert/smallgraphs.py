@@ -22,6 +22,8 @@ cached beside it for the next order.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import CapacityError, GraphInputError
 from .graphs import Graph, _bits, _components, _reach
 
@@ -218,10 +220,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
             and canonical_form(g1) == canonical_form(g2))
 
 
-# per order: the corpus graphs, and generators of each one's automorphism group
-_corpus: dict[int, tuple[list[Graph], list[list[tuple[int, ...]]]]] = {}
-
-
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n <= 8 vertices, one per isomorphism class,
     in a fixed order (the class counts grow too fast beyond desk scale)."""
@@ -232,36 +230,27 @@ def connected_graphs(n: int) -> list[Graph]:
     return list(_corpus_classes(n)[0])
 
 
+@functools.cache
 def _corpus_classes(n: int) -> tuple[list[Graph], list[list[tuple[int, ...]]]]:
-    """The cached corpus on n vertices and each graph's generators, built on
-    first use."""
-    if n not in _corpus:
-        classes = _connected_masks(n)
-        _corpus[n] = ([Graph._from_masks(masks) for masks, _ in classes],
-                      [gens for _, gens in classes])
-    return _corpus[n]
-
-
-def _connected_masks(n: int) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Neighbor masks and automorphism generators of the corpus on n
-    vertices: every graph on n-1 vertices plus a new vertex on each
-    orbit-least nonempty neighbor set, keeping the first graph of each
-    canonical form."""
+    """The corpus on n vertices and generators of each graph's automorphism
+    group, built on first use: every graph on n-1 vertices plus a new vertex
+    on each orbit-least nonempty neighbor set, keeping the first graph of
+    each canonical form."""
     if n == 1:
-        return [((0,), [])]
+        return [Graph._from_masks((0,))], [[]]
     new_bit = 1 << (n - 1)
     seen: set[int] = set()
-    result = []
+    graphs, generators = [], []
     for parent, gens in zip(*_corpus_classes(n - 1)):
-        parent = parent.neighbor_masks
         for sub in _orbit_minima(gens, n - 1):
             masks = tuple(p | new_bit if sub >> v & 1 else p
-                          for v, p in enumerate(parent)) + (sub,)
+                          for v, p in enumerate(parent.neighbor_masks)) + (sub,)
             code, autos = _canonical_code(masks)
             if code not in seen:
                 seen.add(code)
-                result.append((masks, autos))
-    return result
+                graphs.append(Graph._from_masks(masks))
+                generators.append(autos)
+    return graphs, generators
 
 
 def _orbit_minima(gens: list[tuple[int, ...]], k: int) -> list[int] | range:

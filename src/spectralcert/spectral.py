@@ -84,13 +84,16 @@ def a_matrix(g: Graph | Sequence[Graph], a: float) -> np.ndarray:
     return stack[0] if isinstance(g, Graph) else stack
 
 
+def _float_array(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.asarray(m, dtype=float)
+    except ValueError:
+        raise GraphInputError("expected a square matrix, got ragged or non-numeric input") from None
+
+
 def _validate_matrix(m: np.ndarray) -> np.ndarray:
     """m as a float array: one square matrix, or a stack of them."""
-    try:
-        m = np.asarray(m, dtype=float)
-    except ValueError:
-        raise GraphInputError("expected a square matrix or a stack of "
-                              "square matrices of one order") from None
+    m = _float_array(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise GraphInputError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] == 0:
@@ -99,8 +102,6 @@ def _validate_matrix(m: np.ndarray) -> np.ndarray:
         raise GraphInputError("matrix entries must be finite")
     if (m < 0).any():
         raise GraphInputError("matrix entries must be nonnegative")
-    if not np.array_equal(m, m.swapaxes(-1, -2)):
-        raise GraphInputError("matrix must be symmetric")
     return m
 
 
@@ -168,6 +169,8 @@ def spectral_radius(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralResult:
     """
     check_tolerances(tol)
     m = _validate_matrix(m)
+    if not np.array_equal(m, m.swapaxes(-1, -2)):
+        raise GraphInputError("matrix must be symmetric")
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
     count = stack.shape[0]
@@ -319,7 +322,7 @@ def quotient_matrix(m: np.ndarray, classes: Sequence[Sequence[int]]
     constant row sums.  For integer matrices the check is exact; otherwise
     row sums are compared within a small relative tolerance.
     """
-    m = np.asarray(m, dtype=float)
+    m = _float_array(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise GraphInputError(f"expected a square matrix, got shape {m.shape}")
     classes = _validate_partition(m.shape[0], classes)
@@ -349,13 +352,9 @@ def largest_eigenvalue_dense(m: np.ndarray) -> float:
     Intended for quotient matrices of order <= 8, which need not be
     symmetric; for a nonnegative matrix this is its Perron root.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _validate_matrix(m)
+    if m.ndim != 2:
         raise GraphInputError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > 8:
         raise GraphInputError("dense eigenvalue solver is capped at order 8")
-    if not np.isfinite(m).all():
-        raise GraphInputError("matrix entries must be finite")
-    if (m < 0).any():
-        raise GraphInputError("matrix entries must be nonnegative")
     return float(np.linalg.eigvals(m).real.max())

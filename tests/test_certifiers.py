@@ -611,3 +611,17 @@ def test_independence_number_matches_brute_force_on_corpus():
             brute = max(len(s) for r in range(n + 1) for s in combinations(range(n), r)
                         if not any(masks[u] >> v & 1 for u, v in combinations(s, 2)))
             assert _independence_number(masks) == brute
+
+
+def test_certificate_to_json_refuses_a_non_certificate():
+    with pytest.raises(TypeError, match="not a certificate"):
+        certificate_to_json(((0, 1),))
+
+
+def test_win_violator_search_refuses_a_degree_bound_below_two():
+    with pytest.raises(GraphInputError, match="degree bound must be at least 2, got 1"):
+        find_win_violator(complete_graph(3), 1)
+
+
+def test_brute_matching_count_of_the_empty_bipartite_graph_is_one():
+    assert count_perfect_matchings_brute(complete_bipartite(0, 0)) == 1

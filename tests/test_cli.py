@@ -694,3 +694,26 @@ def test_refused_stream_loads_no_numpy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == "error: --stream cannot be combined with --seed\n"
+
+
+def test_verify_ktree_order_zero_is_refused(capsys):
+    # 0 is an order below k + 2 like any other, not a request for the default
+    err = _rejected_one_line(["--n", "0"], capsys, ("verify", "ktree", "--k", "3"))
+    assert err == "error: order must be at least k+2=5, got 0\n"
+
+
+def test_closed_form_q_subcommand(capsys):
+    from spectralcert.families import q_matching_extremal
+
+    assert main(["closed-form", "q", "--n", "4", "--delta", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"value={q_matching_extremal(4, 1)!r}\n" in out
+    assert float(out.split("difference=")[1].strip()) <= 1e-8
+
+
+def test_spectral_prints_na_for_an_undefined_bound(capsys):
+    # two isolated vertices: 2m - n + 1 < 0; one vertex: Das's bound needs n >= 2
+    assert main(["spectral", "A?"]) == 0
+    assert main(["spectral", "@"]) == 0
+    two, one = capsys.readouterr().out.splitlines()
+    assert two.endswith(" hong=NA das=0") and one.endswith(" hong=0 das=NA")

@@ -407,3 +407,24 @@ def test_quotient_matrix_rejects_a_non_finite_weight():
         with pytest.raises(GraphInputError, match="^diagonal weight must be nonnegative "
                                                   "and finite, got "):
             matching_quotient_matrix(3, 1, a)
+
+
+def test_ktree_recognizer_refuses_parameters_outside_the_family():
+    g = ktree_extremal(8, 3)
+    for n, k in [(8, 1), (4, 3), (9, 3), (7, 3)]:
+        assert not is_ktree_extremal(g, n, k)
+
+
+def test_matching_recognizer_refuses_parameters_outside_the_family():
+    b = matching_extremal(4, 1)
+    for n, delta in [(4, -1), (4, 4), (5, 1), (3, 1)]:
+        assert not is_matching_extremal(b, n, delta)
+    assert not is_matching_extremal(BipartiteGraph(4, 3, np.ones((4, 3))), 4, 1)
+
+
+def test_sqrt_threshold_negative_radicand_message():
+    from spectralcert.errors import DomainError
+
+    with pytest.raises(DomainError) as info:
+        sqrt_threshold(2, 2)
+    assert str(info.value) == "n(n-delta-1) negative for n=2, delta=2"

@@ -344,3 +344,40 @@ def test_a_matrix_stack_matches_dense_reference_at_the_word_width(n):
     for b, g in enumerate(graphs):
         assert np.array_equal(g.adj, (reference[b] != 0) & off_diagonal)
         assert Graph(n, g.adj) == g
+
+
+def test_graph_constructor_rejections():
+    for n, adj, message in [
+            (0, np.zeros((0, 0)), "vertex count must be positive, got 0"),
+            (3, np.zeros((2, 2)), "adjacency shape (2, 2) does not match n=3"),
+            (2, [[1, 0], [0, 0]], "self-loops are not allowed"),
+            (2, [[0, 1], [0, 0]], "adjacency relation must be symmetric")]:
+        with pytest.raises(GraphInputError) as info:
+            Graph(n, adj)
+        assert str(info.value) == message
+
+
+def test_bipartite_constructor_refuses_negative_part_sizes():
+    for nx, ny in [(-1, 2), (2, -1)]:
+        with pytest.raises(GraphInputError, match="part sizes must be nonnegative"):
+            BipartiteGraph(nx, ny, np.zeros((2, 2)))
+
+
+def test_array_constructors_refuse_entries_other_than_0_and_1():
+    # a cast to bool would read each of these as an edge
+    nan = float("nan")
+    for bad in (nan, 2, 0.5, -1, "1", None):
+        with pytest.raises(GraphInputError, match="adjacency entries must be 0 or 1"):
+            Graph(2, [[0, bad], [bad, 0]])
+        with pytest.raises(GraphInputError, match="biadjacency entries must be 0 or 1"):
+            BipartiteGraph(1, 2, [[1, bad]])
+    for one in (1, 1.0, True):
+        assert Graph(2, [[0, one], [one, 0]]).m == 1
+        assert BipartiteGraph(1, 2, [[one, 0]]).x_masks == (1,)
+
+
+def test_array_constructors_refuse_ragged_input():
+    with pytest.raises(GraphInputError, match="adjacency must be a rectangular array"):
+        Graph(2, [[0, 1], [1]])
+    with pytest.raises(GraphInputError, match="biadjacency must be a rectangular array"):
+        BipartiteGraph(2, 2, [[1], [0, 1]])

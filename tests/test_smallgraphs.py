@@ -198,3 +198,16 @@ def test_canonical_form_of_a_twin_free_graph_with_many_automorphisms():
     perm = list(np.random.default_rng(13).permutation(20))
     assert canonical_form(_permuted(g, perm)) == form
     assert form != canonical_form(_complement(disjoint_union([cycle_graph(10)] * 2)))
+
+
+def test_connected_graphs_refuses_order_zero():
+    from spectralcert.errors import GraphInputError
+
+    with pytest.raises(GraphInputError, match="vertex count must be positive"):
+        connected_graphs(0)
+
+
+def test_corpus_is_built_once_per_order():
+    assert _corpus_classes(5) is _corpus_classes(5)
+    assert connected_graphs(5) == connected_graphs(5)
+    assert connected_graphs(5) is not connected_graphs(5)

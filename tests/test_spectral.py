@@ -577,3 +577,27 @@ def test_spectral_radius_rejects_tolerances_that_void_the_certificate():
     for tol in (math.inf, math.nan, 0.0, -1e-10):
         with pytest.raises(GraphInputError, match="^tolerance must be positive and finite$"):
             spectral_radius(m, tol)
+
+
+def test_quotient_matrix_refuses_bad_matrices_and_indices():
+    for m, classes, message in [
+            (np.zeros((2, 3)), [[0, 1]], "expected a square matrix, got shape (2, 3)"),
+            ([[0, 1], [1]], [[0, 1]], "expected a square matrix, got ragged or non-numeric input"),
+            (np.zeros((3, 3)), [[0, 1], [3]], "index 3 outside 0..2"),
+            (np.zeros((3, 3)), [[0, 1], [-1, 2]], "index -1 outside 0..2")]:
+        with pytest.raises(GraphInputError) as info:
+            quotient_matrix(m, classes)
+        assert str(info.value) == message
+
+
+def test_largest_eigenvalue_dense_refusals():
+    for m, message in [
+            ([[0.0, math.nan], [1.0, 0.0]], "matrix entries must be finite"),
+            ([[0.0, -1.0], [1.0, 0.0]], "matrix entries must be nonnegative"),
+            ([[1, 2], [3]], "expected a square matrix, got ragged or non-numeric input"),
+            (np.zeros((0, 0)), "matrix order must be positive"),
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.zeros((2, 2, 2)), "expected a square matrix, got shape (2, 2, 2)")]:
+        with pytest.raises(GraphInputError) as info:
+            largest_eigenvalue_dense(m)
+        assert str(info.value) == message

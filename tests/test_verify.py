@@ -641,3 +641,10 @@ def test_harnesses_reject_margins_that_void_the_verdict(harness, margin):
     with pytest.raises(GraphInputError,
                        match="^margin must be finite and at least the tolerance$"):
         harness(margin=margin)
+
+
+def test_harnesses_refuse_an_unknown_variant():
+    with pytest.raises(GraphInputError, match="variant must be 'rho' or 'q', got 'x'"):
+        verify_hamilton_condition([complete_graph(4)], "x")
+    with pytest.raises(GraphInputError, match="variant must be 'family' or 'sqrt', got 'x'"):
+        verify_matching_condition(2, 1, 0.0, "x")
