@@ -84,11 +84,13 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
 
     Exact search; g must be connected.  Edges are tried in the order
     (smaller end degree, larger end degree, u, v), held as entries: one
-    vertex u and the mask of its neighbours v > u in one degree class.  For
-    a fixed u the class fixes both key degrees, so sorting the entries by
-    (smaller degree, larger degree, u) and taking each mask's bits in
-    ascending v gives exactly that edge order, and so the same certificates
-    as a scan over single edges.  A search position is (entry, bits left in
+    vertex u and the mask of its neighbours v > u in one degree class.  They
+    are built in that order, with no sort: for each pair of degree classes
+    d1 <= d2 in ascending order, each u of either class in ascending order
+    gives the mask of its neighbours v > u in the other class (in its own
+    class when d1 = d2).  Taking each mask's bits in ascending v then gives
+    exactly that edge order, and so the same certificates as a scan over
+    single edges.  A search position is (entry, bits left in
     it); the next live edge is the lowest bit of the entry's mask that is
     left, below degree k and outside u's fragment, kept as one vertex mask
     per union-find root.
@@ -125,17 +127,22 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     if n == 1:
         return KTreeCertificate(())
 
-    degs = g.degrees
-    classes: dict[int, int] = {}  # degree -> vertices of that degree
-    for v, d in enumerate(degs):
-        classes[d] = classes.get(d, 0) | 1 << v
-    keyed = []
-    for u, du in enumerate(degs):
-        above = masks[u] >> u + 1 << u + 1
-        for d, cls in classes.items():
-            if above & cls:
-                keyed.append((min(du, d), max(du, d), u, above & cls))
-    entries = [(u, part) for _, _, u, part in sorted(keyed)]
+    classes = [0] * n  # degree -> vertices of that degree
+    for v, d in enumerate(g.degrees):
+        classes[d] |= 1 << v
+    classes = [c for c in classes if c]  # ascending degree
+    above = [m >> u + 1 << u + 1 for u, m in enumerate(masks)]
+    entries = []
+    for i, c1 in enumerate(classes):
+        for c2 in classes[i:]:
+            ends = c1 | c2
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                u = low.bit_length() - 1
+                part = above[u] & (c2 if c1 & low else c1)
+                if part:
+                    entries.append((u, part))
     ne = len(entries)
 
     parent = list(range(n))
@@ -224,7 +231,7 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
 
 def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
     """Re-validate a witness: spanning, acyclic, connected, degrees <= k.
-    An edge whose ends are not ints in 0..n-1 makes it invalid."""
+    An edge that is not a pair of ints in 0..n-1 makes it invalid."""
     n = g.n
     edges = cert.edges
     if len(edges) != n - 1:
@@ -238,7 +245,11 @@ def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:
             v = parent[v]
         return v
 
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):  # not a pair
+            return False
         if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n
                 and masks[u] >> v & 1):
             return False

@@ -336,7 +336,8 @@ _VERIFY_TARGETS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(targets: bool = True) -> _Parser:
+    """The whole parser; without targets, ``verify`` gets no target subparsers."""
     parser = _Parser(prog="spectralcert",
                      description="spectral certificates for spanning trees and matchings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,18 +390,22 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("verify", help="run a verification harness")
-    target = p.add_subparsers(dest="target", required=True)
-    for name, flags in _VERIFY_TARGETS.items():
-        # no abbreviations: --n would pass as --nx where only --nx is read
-        tp = target.add_parser(name, allow_abbrev=False)
-        for flag in flags + ("--tol", "--report", "--csv"):
-            tp.add_argument(flag, **_VERIFY_OPTIONS[flag])
-        tp.set_defaults(fn=_cmd_verify)
+    if targets:
+        target = p.add_subparsers(dest="target", required=True)
+        for name, flags in _VERIFY_TARGETS.items():
+            # no abbreviations: --n would pass as --nx where only --nx is read
+            tp = target.add_parser(name, allow_abbrev=False)
+            for flag in flags + ("--tol", "--report", "--csv"):
+                tp.add_argument(flag, **_VERIFY_OPTIONS[flag])
+            tp.set_defaults(fn=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only a verify command line needs the nine verify target subparsers
+    parser = _build_parser(targets=bool(argv) and argv[0] == "verify")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -153,6 +153,11 @@ def test_k_tree_validator_rejects_bad_endpoints():
     assert not is_valid_ktree(path_graph(3), 2, KTreeCertificate(((0, 1), (0, 1))))
 
 
+def test_k_tree_validator_rejects_edges_that_are_not_pairs():
+    g = complete_graph(2)
+    for edge in ((0, 1, 1), (0,), 5):
+        assert not is_valid_ktree(g, 2, KTreeCertificate((edge,)))
+
 def test_win_violators_unchanged_on_corpus():
     # pins the violator returned, the lexicographically first smallest one,
     # on every pair of the connected n <= 7 corpus and k in {2, 3, 4}

@@ -589,6 +589,18 @@ def test_verify_target_table():
             assert str(vars(args)[flag[2:].replace("-", "_")]) in ("7", "7.0")
 
 
+def test_parser_without_verify_targets_reads_other_commands_the_same():
+    # main leaves out the verify targets unless the command is verify
+    from spectralcert.cli import _build_parser
+
+    whole, lean = _build_parser(), _build_parser(targets=False)
+    assert lean.format_help() == whole.format_help()
+    for argv in (["certify", "ktree", "--k", "3", "C~"], ["certify", "matching", "-"],
+                 ["spectral", "C~", "--a", "1"], ["gen-family", "win", "--s", "1", "--parts", "2,1"],
+                 ["closed-form", "q", "--n", "9", "--delta", "2"],
+                 ["quotient", "--n", "9", "--s", "1", "--a", "0.5"]):
+        assert vars(lean.parse_args(argv)) == vars(whole.parse_args(argv))
+
 def test_verify_targets_refuse_options_they_do_not_read(capsys):
     options, reads = _verify_reads()
     for target, flags in reads.items():
