@@ -274,10 +274,13 @@ def find_win_violator(g: Graph, k: int) -> WinViolator | None:
     lexicographically first of the smallest ones.  Sizes above (n-3)/(k-1)
     cannot violate, nor can any size from the first s with
     (k-2)s + 2 >= alpha(G) on: one vertex from each component of G - S
-    gives an independent set, so c(G - S) <= alpha(G).  G is connected, so
-    every component of G - S holds a vertex of the boundary N(S) - S: a set
-    with too small a boundary is skipped, and components are counted from
-    the boundary only until the count is decided.
+    gives an independent set, so c(G - S) <= alpha(G).  alpha(G) is computed
+    only once the search reaches size 2: a violator of size 1 leaves more
+    than k components, so alpha(G) > k, and the bound could not have stopped
+    size 1.  G is connected, so every component of G - S holds a vertex of
+    the boundary N(S) - S: a set with too small a boundary is skipped, and
+    components are counted from the boundary only until the count is
+    decided.
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -288,8 +291,10 @@ def find_win_violator(g: Graph, k: int) -> WinViolator | None:
     n = g.n
     masks = g.neighbor_masks
     full = (1 << n) - 1
-    alpha = _independence_number(masks)
+    alpha = n  # no bound at size 1, where k <= n - 2
     for s in range(1, (n - 3) // (k - 1) + 1):
+        if s == 2:
+            alpha = _independence_number(masks)
         bound = (k - 2) * s + 2
         if bound >= alpha:
             break

@@ -316,7 +316,10 @@ _VERIFY_OPTIONS = {
     "--margin": dict(type=float, default=DEFAULT_MARGIN, help="threshold comparison margin"),
     "--workers": dict(type=int, default=1,
                       help="parallel workers for stream harnesses, on one fork pool "
-                           "per process: started on first use, shut down at exit"),
+                           "per process: started on first use, shut down at exit; each "
+                           "worker runs one contiguous chunk of the stream and is pinned "
+                           "to one CPU of the caller's set, since unpinned workers were "
+                           "woken on, and stayed on, the caller's CPU"),
     "--seed": dict(type=int, default=None, help="seed for randomized streams (default 0)"),
 }
 

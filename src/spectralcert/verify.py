@@ -28,12 +28,14 @@ one ``radii`` call; then each in-scope item is classified on its own, so
 certifiers and recognizers run only where a verdict needs them.  A chunk
 that meets an error (a graph6 defect, an uncertified eigenpair) raises the
 one of the lowest stream index.  One worker runs the stream as one chunk
-in the calling process.  More workers split it into a few contiguous chunks
+in the calling process.  More workers split it into one contiguous chunk
 each, run on the process's fork pool (see ``_map_items``), and join the
-rows in stream order.  The monotonicity sweeps and the edge-deletion check
-build every graph of their grid first, make one ``radii`` call, and then
-emit their rows in grid order.  Every row, streamed or grid, is built by
-``_item_row``.
+rows in stream order.  Each worker is pinned to one CPU of the caller's set
+when the pool starts: left to the kernel, the workers were woken on the
+caller's CPU and stayed there, so two of them shared one CPU.  The
+monotonicity sweeps and the edge-deletion check build every graph of their
+grid first, make one ``radii`` call, and then emit their rows in grid
+order.  Every row, streamed or grid, is built by ``_item_row``.
 
 Reports are deterministic: identical stream and config give byte-identical
 JSON.  Violations carry a re-checkable payload (graph6, value, threshold,
@@ -83,7 +85,6 @@ from .smallgraphs import canonical_form, connected_graphs
 from .spectral import DEFAULT_TOL, das_bound, hong_bound, radii
 
 DRAWS_PER_GRAPH = 1000
-CHUNKS_PER_WORKER = 4
 
 VACUOUS = "vacuous"
 CONFIRMED = "confirmed"
@@ -189,14 +190,19 @@ def _map_items(fn, items: Sequence, workers: int) -> list:
     """fn maps a contiguous chunk of items to its rows; the rows of every
     chunk, in stream order.
 
-    More than one worker runs the chunks on the process's pool of fork
-    workers.  It starts on the first such call, is reused while the worker
-    count and the process stay the same, is rebuilt when a worker has died,
-    and is shut down at exit.  Its workers see the package as it was when
-    the pool started: a monkeypatch made later does not reach them."""
+    More than one worker splits the items into one contiguous chunk per
+    worker and runs them on the process's pool of fork workers.  It starts
+    on the first such call, is reused while the worker count and the
+    process stay the same, is rebuilt when a worker has died, and is shut
+    down at exit.  The i-th worker to start is pinned to CPU i (wrapping
+    around) of the set the calling thread holds when the pool starts, since
+    the kernel placed every worker on the CPU of the thread that woke it and
+    left it there.
+    Its workers see the package as it was when the pool started: a
+    monkeypatch made later does not reach them."""
     if workers <= 1:
         return fn(items)
-    size = max(1, -(-len(items) // (workers * CHUNKS_PER_WORKER)))
+    size = max(1, -(-len(items) // workers))
     chunks = [items[i:i + size] for i in range(0, len(items), size)]
     # map submits every chunk before it returns, so a pool replaced by
     # another thread still finishes them
@@ -223,9 +229,26 @@ def _worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    fork = get_context("fork")
+    pin = {}
+    if hasattr(os, "sched_setaffinity"):
+        pin = dict(initializer=_pin_worker,
+                   initargs=(fork.Value("i", 0), sorted(os.sched_getaffinity(0))))
+    pool = ProcessPoolExecutor(workers, mp_context=fork, **pin)
     _pool = (os.getpid(), workers, pool)
     return pool
+
+
+def _pin_worker(started, cpus: list[int]) -> None:
+    """Pin the i-th worker to start to cpus[i % len(cpus)]; one the system
+    will not pin stays unpinned."""
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+    except OSError:
+        pass
 
 
 @atexit.register

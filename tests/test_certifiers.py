@@ -409,6 +409,22 @@ def test_win_violator_on_long_path():
     assert components_after_removal(path_graph(5), s) > 2
 
 
+def test_win_violator_computes_alpha_only_from_size_2(monkeypatch):
+    from spectralcert import certifiers
+
+    calls = []
+    alpha = certifiers._independence_number
+    monkeypatch.setattr(certifiers, "_independence_number",
+                        lambda masks: calls.append(1) or alpha(masks))
+    # at n = 7 and k = 4 only size 1 can violate
+    assert find_win_violator(complete_graph(7), 4) is None
+    # the center of K_{1,5} leaves 5 > 2 components: found at size 1
+    assert find_win_violator(star_graph(5), 2) == WinViolator((0,))
+    assert calls == []
+    assert find_win_violator(complete_graph(6), 2) is None
+    assert calls == [1]
+
+
 def test_win_violator_cap_and_validation():
     with pytest.raises(CapacityError):
         find_win_violator(complete_graph(21), 3)

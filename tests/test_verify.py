@@ -29,6 +29,7 @@ from spectralcert.verify import (
     EXTREMAL,
     VACUOUS,
     VIOLATED,
+    _map_items,
     as_graph6_lines,
     bipartite_bit_stream,
     bipartite_from_bits,
@@ -516,6 +517,28 @@ def test_worker_pool_is_reused_until_the_worker_count_changes():
     third = _worker_pids()
     assert len(third) == 3 and not set(third) & set(first)
     assert all(_gone(pid) for pid in first)
+
+
+def _chunk_size(chunk):
+    return [len(chunk)]
+
+
+def test_each_worker_gets_one_contiguous_chunk():
+    assert _map_items(_chunk_size, list(range(10)), 2) == [5, 5]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and at least two CPUs")
+def test_worker_pool_pins_each_worker_to_one_cpu_of_the_callers_set():
+    stream = connected_corpus_stream(4, 5)
+    cpus = os.sched_getaffinity(0)
+    for workers in (2, 3):
+        verify_bounds(stream, workers=workers)
+        pinned = [os.sched_getaffinity(pid) for pid in _worker_pids()]
+        assert len(pinned) == workers
+        assert all(len(held) == 1 and held <= cpus for held in pinned)
+        if workers == 2:
+            assert pinned[0] != pinned[1]
 
 
 def test_worker_pool_is_rebuilt_after_a_worker_dies(tmp_path):
