@@ -15,11 +15,11 @@ Each ``verify`` target takes only the options it reads (``_VERIFY_TARGETS``),
 so argparse refuses the rest, and ``--stream`` refuses the options that
 would shape the stream it replaces.
 
-Exit codes: 0 success, 1 usage or input error, 2 a verification run found
-violations, 3 the eigensolver failed to converge.  Every error, argparse's
-usage errors included, is one ``error:`` line on stderr.  Graph arguments
-are a literal graph6 string or ``-`` to read graph6 lines from stdin (blank
-lines ignored).  Randomized subcommands print the seed they used.
+Exit codes: 0 success, 1 usage or input error (a float overflow too), 2 a
+verification run found violations, 3 the eigensolver failed to converge.
+Every error, argparse's usage errors included, is one ``error:`` line on
+stderr.  Graph arguments are a literal graph6 string or ``-`` to read graph6
+lines from stdin (blank lines ignored); randomized subcommands print the seed.
 """
 
 from __future__ import annotations
@@ -205,11 +205,12 @@ def _cmd_quotient(args) -> int:
     from .spectral import largest_eigenvalue_dense
 
     b = matching_quotient_matrix(args.n, args.s, args.a)
+    lam = largest_eigenvalue_dense(b)
+    value = matching_quotient_charpoly(args.n, args.s, args.a, lam)
     for row in b:
         print(" ".join(f"{v:g}" for v in row))
-    lam = largest_eigenvalue_dense(b)
     print(f"lambda1={lam!r}")
-    print(f"charpoly_at_lambda1={matching_quotient_charpoly(args.n, args.s, args.a, lam):.3e}")
+    print(f"charpoly_at_lambda1={value:.3e}")
     return EXIT_OK
 
 
@@ -422,8 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         if workers > cpus:
             raise GraphInputError(f"worker count must be at most the CPU count, {cpus}")
         return args.fn(args)
-    except (ConvergenceError, GraphInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ArithmeticError, ConvergenceError, GraphInputError, OSError) as exc:
+        what = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, ConvergenceError) else EXIT_USAGE
 
 

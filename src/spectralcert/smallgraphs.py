@@ -3,8 +3,8 @@
 ``canonical_form`` is the one isomorphism mechanism (refinement, then
 individualisation, keeping the best leaf, with automorphism pruning; McKay
 and Piperno, "Practical graph isomorphism II", J. Symbolic Comput. 60,
-2014).  It backs ``are_isomorphic``, the Hamilton-path exception check, and
-the corpus of all connected graphs on up to 8 vertices.  Its search also
+2014).  It backs ``are_isomorphic``, the Hamilton-path sporadic exceptions,
+and the corpus of all connected graphs on up to 8 vertices.  Its search also
 yields generators of the automorphism group, which the corpus uses.
 
 The corpus grows by vertex augmentation (each connected graph arises from a

@@ -63,6 +63,7 @@ def signless_laplacian(g: Graph) -> np.ndarray:
     return a_matrix(g, 1.0)
 
 
+@np.errstate(all="ignore")  # an overflow is refused by _validate_matrix or the certificate
 def a_matrix(g: Graph | Sequence[Graph], a: float) -> np.ndarray:
     """a*D(G) + A(G); a=0 is the adjacency matrix, a=1 the signless Laplacian.
 
@@ -105,6 +106,7 @@ def _validate_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@np.errstate(all="ignore")  # as a_matrix
 def _perron_pairs(blocks: np.ndarray, tol: float):
     """Eigensolve a (B, k, k) stack of irreducible blocks.
 

@@ -6,17 +6,18 @@ threshold, runs the matching exact certifier on the in-scope graphs, and
 aggregates per-item verdicts into a ``VerificationReport``.
 
 Verdicts partition every stream: ``vacuous`` (guard or threshold not met),
-``confirmed`` (certificate found), ``extremal_equality`` (the unique
-exceptional graph), ``violated`` (above threshold, no certificate, not
-exceptional).  The Hamilton-path, k-tree and matching harnesses reach them
-through one routine, ``_classify``, given each theorem's margin, threshold,
-certifier and extremal recognizer.  Items inside the margin are routed
-through the recognizer and then the certifier, and are never reported as
-violations, since equality cases cannot be decided in floating point.  A
-k-tree counts as found only once ``is_valid_ktree`` accepts it; one it
-rejects is a certifier bug and raises ``RuntimeError`` instead of giving any
-verdict.  A sampled stream rejects a negative seed with ``GraphInputError``;
-an exhaustive one ignores the seed.
+``confirmed`` (certificate found), ``extremal_equality`` (an exceptional
+graph), ``violated`` (above threshold, no certificate, not exceptional).  The
+Hamilton-path, k-tree and matching harnesses reach them through one routine,
+``_classify``, given each theorem's margin, threshold, certifier and extremal
+recognizer; each extremal family has one structural recognizer, in
+``families``.  Items inside the margin are routed through the recognizer and
+then the certifier, and are never reported as violations, since equality
+cases cannot be decided in floating point.  A k-tree counts as found only
+once ``is_valid_ktree`` accepts it; one it rejects is a certifier bug and
+raises ``RuntimeError`` instead of giving any verdict.  A sampled stream
+rejects a negative seed with ``GraphInputError``; an exhaustive one ignores
+the seed.
 
 Every harness eigensolves through ``spectral.radii``: it takes a list of
 graphs and makes one ``spectral_radius`` call per diagonal weight and order,
@@ -416,25 +417,19 @@ def _hamilton_threshold(variant: str, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _hamilton_exceptions(variant: str, n: int) -> frozenset[tuple[int, int]]:
-    """The variant's exceptional graphs of order n, as a set of canonical forms."""
-    k2_e4 = join(complete_graph(2), empty_graph(4))
-    graphs = {("rho", 6): [k2_e4, join(complete_graph(1),
-                                       disjoint_union([star_graph(3), complete_graph(1)]))],
-              ("q", 4): [star_graph(3)],
-              ("q", 5): [star_graph(4), join(complete_graph(1),
-                                             disjoint_union([complete_graph(2), empty_graph(2)]))],
-              ("q", 6): [k2_e4]}.get((variant, n), [])
-    if variant == "rho" and n >= 4:
-        graphs.append(ktree_extremal(n, 2))
-    return frozenset(map(canonical_form, graphs))
+def _hamilton_sporadic(variant: str) -> frozenset[tuple[int, int]]:
+    """The canonical forms of the variant's sporadic exceptions, none above six
+    vertices: K1 v (K1,3 u K1) and K2 v 4K1 for "rho"; K1,3, K1,4,
+    K1 v (K2 u 2K1) = ktree_extremal(5, 2) and K2 v 4K1 for "q"."""
+    graphs = ([join(complete_graph(1), disjoint_union([star_graph(3), complete_graph(1)]))]
+              if variant == "rho" else [star_graph(3), star_graph(4), ktree_extremal(5, 2)])
+    return frozenset(map(canonical_form, graphs + [join(complete_graph(2), empty_graph(4))]))
 
 
 def _is_hamilton_exception(variant: str, g: Graph, context: None) -> bool:
-    # a code has one bit per edge: screening on the edge count keeps the
-    # canonical search off large symmetric graphs that cannot match
-    forms = _hamilton_exceptions(variant, g.n)
-    return any(code.bit_count() == g.m for _, code in forms) and canonical_form(g) in forms
+    # for "rho" also the family ktree_extremal(n, 2), as the k-tree harness finds it
+    return ((variant == "rho" and is_ktree_extremal(g, g.n, 2))
+            or (g.n <= 6 and canonical_form(g) in _hamilton_sporadic(variant)))
 
 
 def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],

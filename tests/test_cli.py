@@ -729,3 +729,27 @@ def test_spectral_prints_na_for_an_undefined_bound(capsys):
     assert main(["spectral", "@"]) == 0
     two, one = capsys.readouterr().out.splitlines()
     assert two.endswith(" hong=NA das=0") and one.endswith(" hong=0 das=NA")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["spectral", "A_", "--a", "1e200"], 3),                    # uncertified eigenpair
+    (["spectral", "Bw", "--a", "1e308"], 1),                    # a*D overflows
+    (["quotient", "--n", "3", "--s", "1", "--a", "1e200"], 1),  # the quartic overflows
+])
+def test_numeric_overflow_ends_in_one_error_line(argv, status):
+    # in a child process: pytest would capture a numpy warning in-process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spectralcert
+
+    src = str(Path(spectralcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "spectralcert.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == status
+    assert out.stdout == ""
+    _one_error_line(out.stderr)

@@ -126,6 +126,30 @@ def test_hamilton_exceptions_above_the_isomorphism_cap():
     assert [row["verdict"] for row in report.rows] == [EXTREMAL, CONFIRMED]
 
 
+def _relabelled(n, edges, rng):
+    from spectralcert.graphs import build_graph
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("n", [9, 40, 1000])
+def test_hamilton_rho_recognizes_the_relabelled_family_above_the_corpus(n):
+    # K1 v (K_{n-3} u 2K1), relabelled, is exceptional at every order; moving
+    # its clique edge (1, 2) to the pendant n - 1 keeps the edge count but is
+    # not the family
+    rng = random.Random(n)
+    edges = ktree_extremal(n, 2).edges()
+    stream = [_relabelled(n, edges, rng)]
+    if n < 1000:
+        moved = [e for e in edges if e != (1, 2)] + [(1, n - 1)]
+        stream.append(_relabelled(n, moved, rng))
+    verdicts = [row["verdict"] for row in verify_hamilton_condition(stream, "rho").rows]
+    assert verdicts[0] == EXTREMAL
+    assert EXTREMAL not in verdicts[1:]
+
+
 def test_hamilton_exceptional_graphs_detected():
     from spectralcert.graphs import disjoint_union, empty_graph, join
 
@@ -163,6 +187,23 @@ def test_ktree_condition_guards():
         verify_ktree_condition([complete_graph(22)], 3, 0.5)
     report = verify_ktree_condition([complete_graph(10)], 3, 0)
     assert report.counts[VACUOUS] == 1  # below the order guard
+
+
+@pytest.mark.parametrize("n, k", [(22, 3), (40, 4)])
+@pytest.mark.parametrize("a", [0, 1])
+def test_ktree_threshold_gate_near_the_extremal_graph(n, k, a):
+    # one edge from the extremal graph on either side of the threshold: the
+    # two deletions have no k-tree and lie 0.05-0.22 below it, the pendant to
+    # clique edge gives a k-tree and lies 0.002-0.06 above it
+    from spectralcert.graphs import build_graph
+
+    edges = ktree_extremal(n, k).edges()
+    stream = [build_graph(n, edges),
+              build_graph(n, [e for e in edges if e != (1, 2)]),   # clique edge
+              build_graph(n, [e for e in edges if e != (0, 1)]),   # centre-clique edge
+              build_graph(n, edges + [(1, n - 1)])]                # pendant-clique edge
+    report = verify_ktree_condition(stream, k, a)
+    assert [row["verdict"] for row in report.rows] == [EXTREMAL, VACUOUS, VACUOUS, CONFIRMED]
 
 
 def test_harnesses_raise_on_an_invalid_k_tree(monkeypatch):
