@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -207,6 +208,8 @@ def _cmd_quotient(args) -> int:
     b = matching_quotient_matrix(args.n, args.s, args.a)
     lam = largest_eigenvalue_dense(b)
     value = matching_quotient_charpoly(args.n, args.s, args.a, lam)
+    if not math.isfinite(value):  # the float products overflowed without raising
+        raise ArithmeticError(f"the quartic at lambda1 is not finite, got {value}")
     for row in b:
         print(" ".join(f"{v:g}" for v in row))
     print(f"lambda1={lam!r}")
@@ -418,10 +421,12 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "tol"):
             check_tolerances(args.tol, getattr(args, "margin", None))
         workers, cpus = getattr(args, "workers", 1), os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):  # the CPUs the pool pins its workers within
+            cpus = min(cpus, len(os.sched_getaffinity(0)))
         if workers < 1:
             raise GraphInputError("worker count must be positive")
         if workers > cpus:
-            raise GraphInputError(f"worker count must be at most the CPU count, {cpus}")
+            raise GraphInputError(f"worker count must be at most the usable CPU count, {cpus}")
         return args.fn(args)
     except (ArithmeticError, ConvergenceError, GraphInputError, OSError) as exc:
         what = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""

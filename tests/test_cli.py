@@ -47,6 +47,14 @@ def test_workers_above_the_cpu_count_are_rejected(capsys, monkeypatch):
     _rejected_one_line(["--workers", "2"], capsys)
 
 
+
+def test_workers_above_the_cpus_the_process_may_use_are_rejected(capsys, monkeypatch):
+    # the pool pins its workers within the affinity set, so that set bounds the count
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    err = _rejected_one_line(["--workers", "2"], capsys)
+    assert err == "error: worker count must be at most the usable CPU count, 1\n"
+
 def test_negative_seed_is_rejected_where_a_stream_is_sampled(capsys):
     for command in (["verify", "ktree", "--k", "3"],
                     ["verify", "ktree", "--k", "3", "--count", "4"],
@@ -191,6 +199,16 @@ def test_quotient_rejects_a_non_finite_weight_before_printing(capsys):
         assert err.splitlines() == [
             f"error: diagonal weight must be nonnegative and finite, got {a}"]
 
+
+
+def test_quotient_rejects_a_weight_whose_quartic_overflows_to_nan(capsys):
+    # a**2 stays finite here, but the quartic's products overflow to inf - inf
+    for a in ("1e100", "1e150"):
+        assert main(["quotient", "--n", "3", "--s", "1", "--a", a]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: ArithmeticError: the quartic at lambda1 is not finite, got nan"]
 
 def test_verify_bounds_exit_zero(capsys):
     assert main(["verify", "bounds", "--min-n", "1", "--max-n", "5"]) == 0

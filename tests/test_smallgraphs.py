@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ import pytest
 from spectralcert.errors import CapacityError
 from spectralcert.graphs import (
     Graph,
+    _bits,
     build_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     path_graph,
     star_graph,
 )
 from spectralcert.smallgraphs import (
+    _canonical_code,
     _corpus_classes,
     _orbit_minima,
     are_isomorphic,
@@ -211,3 +215,53 @@ def test_corpus_is_built_once_per_order():
     assert _corpus_classes(5) is _corpus_classes(5)
     assert connected_graphs(5) == connected_graphs(5)
     assert connected_graphs(5) is not connected_graphs(5)
+
+
+def test_canonical_form_of_a_long_individualisation_chain():
+    # every vertex is individualised in turn: 1,100 levels, past the
+    # interpreter's default recursion limit
+    assert canonical_form(empty_graph(1100)) == (1100, 0)
+
+
+def test_canonical_form_of_a_twin_chain_stays_small():
+    # one swap per twin, not one per twin and level (about n^3 / 2 entries)
+    tracemalloc.start()
+    try:
+        canonical_form(empty_graph(300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _graph_on(n, adjacent):
+    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if adjacent(a, b)])
+
+
+def _vertex_transitive_graphs():
+    pairs = list(itertools.combinations(range(5), 2))
+    shrikhande = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    squares = {x * x % 17 for x in range(1, 17)}
+    return {
+        "Petersen": _graph_on(10, lambda a, b: not set(pairs[a]) & set(pairs[b])),
+        "Q4": _graph_on(16, lambda a, b: (a ^ b).bit_count() == 1),
+        "Shrikhande": _graph_on(16, lambda a, b: ((b // 4 - a // 4) % 4,
+                                                  (b % 4 - a % 4) % 4) in shrikhande),
+        "rook 4x4": _graph_on(16, lambda a, b: a // 4 == b // 4 or a % 4 == b % 4),
+        "complement of 4C5": _complement(disjoint_union([cycle_graph(5)] * 4)),
+        "Paley(17)": _graph_on(17, lambda a, b: (b - a) % 17 in squares),
+    }
+
+
+@pytest.mark.parametrize("name", list(_vertex_transitive_graphs()))
+def test_generators_of_vertex_transitive_graphs_above_the_corpus(name):
+    g = _vertex_transitive_graphs()[name]
+    n, masks = g.n, g.neighbor_masks
+    code, gens = _canonical_code(masks)
+    for perm in gens:
+        assert sorted(perm) == list(range(n))
+        assert all(sum(1 << perm[u] for u in _bits(masks[v])) == masks[perm[v]]
+                   for v in range(n))
+    assert _generated_orbits(n, gens) == [0] * n
+    perm = list(np.random.default_rng(19).permutation(n))
+    assert canonical_form(_permuted(g, perm)) == (n, code)
