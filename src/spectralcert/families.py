@@ -12,7 +12,10 @@ Two families drive everything:
 For the matching family the largest eigenvalues of the adjacency and
 signless Laplacian matrices have closed forms, evaluated here exactly as
 printed (no algebraic simplification), along with the 4x4 quotient matrix of
-the block partition and its quartic characteristic polynomial.
+the block partition and its quartic characteristic polynomial.  For the
+k-tree family the (centre, clique, pendants) partition is equitable, so the
+largest eigenvalue of its 3x3 quotient of a*D + A is the radius of the
+n-vertex graph: the threshold is a function of (n, k, a) alone.
 """
 
 from __future__ import annotations
@@ -40,16 +43,25 @@ if TYPE_CHECKING:
 # constructors
 
 
+def _check_ktree_params(n: int, k: int) -> None:
+    if k < 2:
+        raise GraphInputError(f"degree bound must be at least 2, got {k}")
+    if n < k + 2:
+        raise GraphInputError(f"order must be at least k+2={k + 2}, got {n}")
+
+
+def _check_weight(a: float) -> None:
+    if not 0 <= a < math.inf:
+        raise GraphInputError(f"diagonal weight must be nonnegative and finite, got {a}")
+
+
 def ktree_extremal(n: int, k: int) -> Graph:
     """One dominating vertex over K_{n-k-1} together with k isolated vertices.
 
     Vertex 0 is the dominating vertex; the clique occupies 1..n-k-1 and the
     k pendant vertices come last.
     """
-    if k < 2:
-        raise GraphInputError(f"degree bound must be at least 2, got {k}")
-    if n < k + 2:
-        raise GraphInputError(f"order must be at least k+2={k + 2}, got {n}")
+    _check_ktree_params(n, k)
     return win_family(1, (n - k - 1,) + (1,) * k)
 
 
@@ -153,8 +165,7 @@ def matching_quotient_matrix(n: int, s: int, a: float) -> np.ndarray:
 
     if not 1 <= s < n:
         raise GraphInputError(f"need 1 <= s < n, got s={s}, n={n}")
-    if not 0 <= a < math.inf:
-        raise GraphInputError(f"diagonal weight must be nonnegative and finite, got {a}")
+    _check_weight(a)
     s_, n_ = float(s), float(n)
     return np.array([
         [a * s_, 0.0, s_, 0.0],
@@ -185,6 +196,19 @@ def matching_quotient_charpoly_diff(n: int, s: int, a: float, x: float) -> float
     s_, n_, a_ = float(s), float(n), float(a)
     return (n_ - 2 * s_) * ((a_**2 + 1) * x**2 - 2 * a_**3 * n_ * x
                             - (1 - a_**2) * (2 * s_**2 - 2 * n_ * s_ + a_**2 * n_**2))
+
+
+def ktree_quotient_matrix(n: int, k: int, a: float) -> np.ndarray:
+    """3x3 quotient of a*D + A of ktree_extremal(n, k) under its equitable
+    partition; row/column order is (centre, clique, pendants)."""
+    import numpy as np
+
+    _check_ktree_params(n, k)
+    _check_weight(a)
+    c = float(n - k - 1)
+    return np.array([[a * (n - 1), c, float(k)],
+                     [1.0, a * c + c - 1, 0.0],
+                     [1.0, 0.0, a]])
 
 
 # ---------------------------------------------------------------------------

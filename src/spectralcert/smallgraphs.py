@@ -144,12 +144,15 @@ def _canonical_code(masks: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]
 
 
 def _leaf_code(masks: tuple[int, ...], order: list[int]) -> int:
-    """Upper-triangle adjacency bits of the graph relabelled by `order`."""
-    code = 0
-    for i, v in enumerate(order):
-        row = masks[v]
-        for u in order[i + 1:]:
-            code = code << 1 | row >> u & 1
+    """Upper-triangle adjacency bits of the graph relabelled by `order`, one
+    row at a time, so the growing code is copied once per row, not per bit."""
+    code, rest = 0, order[:]
+    for v in order:
+        del rest[0]
+        row, bits = masks[v], 0
+        for u in rest:
+            bits = bits << 1 | row >> u & 1
+        code = code << len(rest) | bits
     return code
 
 

@@ -63,6 +63,7 @@ from .families import (
     is_ktree_extremal,
     is_matching_extremal,
     ktree_extremal,
+    ktree_quotient_matrix,
     matching_extremal,
     q_matching_extremal,
     rho_matching_extremal,
@@ -83,7 +84,7 @@ from .graphs import (
     to_graph6,
 )
 from .smallgraphs import canonical_form, connected_graphs
-from .spectral import DEFAULT_TOL, das_bound, hong_bound, radii
+from .spectral import DEFAULT_TOL, das_bound, hong_bound, largest_eigenvalue_dense, radii
 
 DRAWS_PER_GRAPH = 1000
 
@@ -466,10 +467,9 @@ def verify_hamilton_condition(stream: Iterable[Graph | str | bytes],
 
 
 @lru_cache(maxsize=None)
-def _ktree_threshold(k: int, a: float, tol: float, n: int) -> float:
-    """The radius of a*D + A of the order-n extremal graph."""
-    ((threshold,),), _ = radii([ktree_extremal(n, k)], (a,), tol)
-    return threshold
+def _ktree_threshold(k: int, a: float, n: int) -> float:
+    """The radius of a*D + A of the order-n extremal graph, from its quotient."""
+    return largest_eigenvalue_dense(ktree_quotient_matrix(n, k, a))
 
 
 def _is_ktree_extremal(k: int, g: Graph, context: None) -> bool:
@@ -483,11 +483,11 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
     """Spectral threshold for a degree-<=k spanning tree (k >= 3, n >= 2k+16).
 
     Streamed graphs below the order guard are counted vacuous.  The per-order
-    threshold is the computed radius of the extremal construction, solved
-    once per order when the first in-scope graph of that order is
-    classified.  A malformed line or an uncertified eigenpair of a streamed
-    graph raises the error of the lowest stream index, as in every streamed
-    harness.
+    threshold is the radius of a*D + A of the extremal construction: the
+    largest eigenvalue of its 3x3 equitable quotient, from
+    ``families.ktree_quotient_matrix``, so it depends on (n, k, a) alone.
+    A malformed line or an uncertified eigenpair of a streamed graph raises
+    the error of the lowest stream index, as in every streamed harness.
     """
     check_tolerances(tol, margin)
     if k < 3:
@@ -497,7 +497,7 @@ def verify_ktree_condition(stream: Iterable[Graph | str | bytes], k: int,
     lines = as_graph6_lines(stream)
     rows = _map_items(partial(_staged, partial(_line_decode, 2 * k + 16), (float(a),), tol,
                               partial(_classify, _Check(
-                                  margin, partial(_ktree_threshold, k, float(a), tol),
+                                  margin, partial(_ktree_threshold, k, float(a)),
                                   partial(_ktree_checked, k), partial(_is_ktree_extremal, k)))),
                       lines, workers)
     return _finalize(

@@ -153,6 +153,12 @@ def test_k_tree_validator_rejects_bad_endpoints():
     assert not is_valid_ktree(path_graph(3), 2, KTreeCertificate(((0, 1), (0, 1))))
 
 
+def test_k_tree_validator_rejects_a_vertex_of_degree_k_plus_one():
+    g = star_graph(3)
+    assert not is_valid_ktree(g, 2, KTreeCertificate(tuple(g.edges())))
+    assert is_valid_ktree(g, 3, KTreeCertificate(tuple(g.edges())))
+
+
 def test_k_tree_validator_rejects_edges_that_are_not_pairs():
     g = complete_graph(2)
     for edge in ((0, 1, 1), (0,), 5):

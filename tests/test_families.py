@@ -10,6 +10,7 @@ from spectralcert.families import (
     is_ktree_extremal,
     is_matching_extremal,
     ktree_extremal,
+    ktree_quotient_matrix,
     matching_extremal,
     matching_partition,
     matching_quotient_charpoly,
@@ -428,3 +429,36 @@ def test_sqrt_threshold_negative_radicand_message():
     with pytest.raises(DomainError) as info:
         sqrt_threshold(2, 2)
     assert str(info.value) == "n(n-delta-1) negative for n=2, delta=2"
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+def test_ktree_quotient_matrix_is_the_equitable_block_average(k, a):
+    for n in (k + 2, 2 * k + 16, 100):
+        centre_clique_pendants = [[0], list(range(1, n - k)), list(range(n - k, n))]
+        got, equitable = quotient_matrix(a_matrix(ktree_extremal(n, k), a),
+                                         centre_clique_pendants)
+        assert equitable
+        assert np.allclose(got, ktree_quotient_matrix(n, k, a), rtol=0, atol=1e-12)
+
+
+def test_ktree_quotient_radius_matches_the_dense_radius():
+    # the threshold of verify_ktree_condition against the n-vertex solve it replaced
+    for k in range(3, 7):
+        for n in (2 * k + 16, 2 * k + 40):
+            for a in (0.0, 1.0):
+                lam = largest_eigenvalue_dense(ktree_quotient_matrix(n, k, a))
+                rho = spectral_radius(a_matrix(ktree_extremal(n, k), a)).radius
+                assert abs(lam - rho) <= 1e-13 * rho
+
+
+def test_ktree_quotient_matrix_refuses_what_the_family_refuses():
+    for n, k in [(10, 1), (4, 3)]:
+        with pytest.raises(GraphInputError):
+            ktree_extremal(n, k)
+        with pytest.raises(GraphInputError):
+            ktree_quotient_matrix(n, k, 0.0)
+    for a in (-1.0, math.inf, math.nan):
+        with pytest.raises(GraphInputError, match="^diagonal weight must be nonnegative "
+                                                  "and finite, got "):
+            ktree_quotient_matrix(22, 3, a)

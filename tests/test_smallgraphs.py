@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spectralcert.errors import CapacityError
+from spectralcert.families import ktree_extremal
 from spectralcert.graphs import (
     Graph,
     _bits,
@@ -221,6 +222,14 @@ def test_canonical_form_of_a_long_individualisation_chain():
     # every vertex is individualised in turn: 1,100 levels, past the
     # interpreter's default recursion limit
     assert canonical_form(empty_graph(1100)) == (1100, 0)
+
+
+def test_canonical_form_code_of_dense_graphs_above_the_corpus():
+    # one bit per upper-triangle pair, first row first: K300 sets all of them
+    assert canonical_form(complete_graph(300)) == (300, (1 << 300 * 299 // 2) - 1)
+    g = ktree_extremal(300, 3)
+    perm = list(np.random.default_rng(19).permutation(300))
+    assert canonical_form(_permuted(g, perm)) == canonical_form(g)
 
 
 def test_canonical_form_of_a_twin_chain_stays_small():

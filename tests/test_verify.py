@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import spectralcert
+from spectralcert.certifiers import find_k_tree
 from spectralcert.errors import ConvergenceError, Graph6ParseError, GraphInputError
 from spectralcert.families import ktree_extremal, matching_extremal, win_family
 from spectralcert.graphs import complete_graph, from_graph6, path_graph, star_graph, to_graph6
@@ -187,6 +188,15 @@ def test_ktree_condition_guards():
         verify_ktree_condition([complete_graph(22)], 3, 0.5)
     report = verify_ktree_condition([complete_graph(10)], 3, 0)
     assert report.counts[VACUOUS] == 1  # below the order guard
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_ktree_condition_counts_a_graph_just_below_the_order_guard_vacuous(a):
+    # K21 at k = 3 has a 3-tree and lies above the threshold of its order, so
+    # only the guard n >= 2k + 16 = 22 keeps it out of scope
+    assert find_k_tree(complete_graph(21), 3) is not None
+    report = verify_ktree_condition([complete_graph(21)], 3, a)
+    assert [row["verdict"] for row in report.rows] == [VACUOUS]
 
 
 @pytest.mark.parametrize("n, k", [(22, 3), (40, 4)])
