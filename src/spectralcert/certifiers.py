@@ -12,8 +12,9 @@ nonexistence within the stated caps.
   stops at the first size whose bound reaches the independence number.
 * ``perfect_matching``: augmenting paths from each X root in turn; the
   first root with none gives a neighborhood-deficient X-set.
-* ``count_perfect_matchings_brute``: permanent of the biadjacency matrix by
-  inclusion-exclusion, the independent oracle for the matching routines.
+* ``count_perfect_matchings_brute``: permanent of the biadjacency matrix,
+  row by row over the sets of used Y columns, the independent oracle for
+  the matching routines.
 
 All searches use ascending vertex order for tie-breaking, so certificates
 are deterministic for a fixed input labeling.
@@ -400,24 +401,21 @@ def perfect_matching(b: BipartiteGraph) -> PerfectMatching | HallViolator:
 
 
 def count_perfect_matchings_brute(b: BipartiteGraph) -> int:
-    """Permanent of the biadjacency matrix, by inclusion-exclusion."""
+    """Permanent of the biadjacency matrix, counted row by row: after each X
+    row, the number of ways to match the rows so far onto each set of used
+    Y columns."""
     if not b.is_balanced():
         raise GraphInputError("matching count requires a balanced bipartite graph")
-    n = b.nx
-    if n > BRUTE_MATCHING_CAP:
+    if b.nx > BRUTE_MATCHING_CAP:
         raise CapacityError(f"brute matching count capped at {BRUTE_MATCHING_CAP}")
-    if n == 0:
-        return 1
-    rows = b.x_masks
-    total = 0
-    for sub in range(1, 1 << n):
-        prod = 1
-        for r in rows:
-            c = (r & sub).bit_count()
-            if c == 0:
-                prod = 0
-                break
-            prod *= c
-        if prod:
-            total += prod if (n - sub.bit_count()) % 2 == 0 else -prod
-    return total
+    ways = {0: 1}
+    for row in b.x_masks:
+        step: dict[int, int] = {}
+        for used, count in ways.items():
+            free = row & ~used
+            while free:
+                low = free & -free
+                free ^= low
+                step[used | low] = step.get(used | low, 0) + count
+        ways = step
+    return sum(ways.values())

@@ -363,7 +363,8 @@ def random_connected_stream(n: int, count: int, p: float, seed: int) -> list[str
 def bipartite_from_bits(n: int, bits: int) -> BipartiteGraph:
     """Biadjacency on n+n vertices from an n*n-bit integer, row-major."""
     full = (1 << n) - 1
-    return BipartiteGraph._from_masks(n, tuple(bits >> x * n & full for x in range(n)))
+    # a tuple is built faster from a short list than from a generator
+    return BipartiteGraph._from_masks(n, tuple([bits >> x * n & full for x in range(n)]))
 
 
 def bipartite_bit_stream(n: int, sample_count: int | None, seed: int) -> list[int]:
@@ -515,7 +516,7 @@ def _matching_decode(n: int, delta: int, threshold: float | None, bits: int
                      ) -> tuple[dict, Graph | None, BipartiteGraph | None]:
     b = bipartite_from_bits(n, bits)
     g = b.to_graph()
-    row = _item_row(to_graph6(g).decode("ascii"), g.n, g.m)
+    row = _item_row(to_graph6(g).decode("ascii"), 2 * n, bits.bit_count())
     row["bits"] = bits  # not a keyword: packing one would cost per pattern
     if threshold is None or min_degree(g) != delta:
         return row, None, None

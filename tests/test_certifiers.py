@@ -159,6 +159,12 @@ def test_k_tree_validator_rejects_a_vertex_of_degree_k_plus_one():
     assert is_valid_ktree(g, 3, KTreeCertificate(tuple(g.edges())))
 
 
+def test_k_tree_validator_rejects_a_tree_edge_missing_from_the_graph():
+    g = path_graph(3)  # 0-1-2, so the spanning path 2-0-1 uses the non-edge 0-2
+    assert is_valid_ktree(g, 2, KTreeCertificate(((0, 1), (1, 2))))
+    assert not is_valid_ktree(g, 2, KTreeCertificate(((0, 1), (0, 2))))
+
+
 def test_k_tree_validator_rejects_edges_that_are_not_pairs():
     g = complete_graph(2)
     for edge in ((0, 1, 1), (0,), 5):
@@ -601,6 +607,32 @@ def test_hall_equivalence_random_5x5():
         b = BipartiteGraph(5, 5, biadj)
         result = perfect_matching(b)
         assert isinstance(result, PerfectMatching) == (count_perfect_matchings_brute(b) > 0)
+
+
+def _permanent_by_inclusion_exclusion(rows, n):
+    """Ryser's formula: the sum over column sets S of (-1)^(n - |S|) times
+    the product over rows of each row's neighbours in S."""
+    total = 0
+    for columns in range(1 << n):
+        product = 1
+        for row in rows:
+            product *= (row & columns).bit_count()
+        total += (-1) ** (n - columns.bit_count()) * product
+    return total
+
+
+def test_brute_matching_count_is_the_inclusion_exclusion_permanent():
+    patterns = [(3, bits) for bits in range(1 << 9)]
+    rng = np.random.default_rng(2103)
+    for n in (5, 6):
+        patterns += [(n, int(bits)) for bits in rng.integers(0, 1 << n * n, size=10_000)]
+    counts = set()
+    for n, bits in patterns:
+        b = bipartite_from_bits(n, bits)
+        count = count_perfect_matchings_brute(b)
+        assert count == _permanent_by_inclusion_exclusion(b.x_masks, n), (n, bits)
+        counts.add(count)
+    assert 0 in counts and max(counts) >= 100
 
 
 def test_certificate_json_shapes():

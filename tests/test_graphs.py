@@ -381,3 +381,16 @@ def test_array_constructors_refuse_ragged_input():
         Graph(2, [[0, 1], [1]])
     with pytest.raises(GraphInputError, match="biadjacency must be a rectangular array"):
         BipartiteGraph(2, 2, [[1], [0, 1]])
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130])
+def test_edge_count_and_degrees_are_the_adjacency_sums(n):
+    rng = np.random.default_rng(n)
+    for p in (0.05, 0.5, 0.95):
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        adj = upper | upper.T
+        g = Graph(n, adj)
+        sums = adj.sum(axis=1)
+        assert g.m == int(sums.sum()) // 2
+        assert g.degrees == tuple(int(s) for s in sums)
+        assert min_degree(g) == int(sums.min())

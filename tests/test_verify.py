@@ -23,7 +23,14 @@ import spectralcert
 from spectralcert.certifiers import find_k_tree
 from spectralcert.errors import ConvergenceError, Graph6ParseError, GraphInputError
 from spectralcert.families import ktree_extremal, matching_extremal, win_family
-from spectralcert.graphs import complete_graph, from_graph6, path_graph, star_graph, to_graph6
+from spectralcert.graphs import (
+    Graph,
+    complete_graph,
+    from_graph6,
+    path_graph,
+    star_graph,
+    to_graph6,
+)
 from spectralcert.spectral import DEFAULT_TOL, a_matrix, spectral_radius
 from spectralcert.verify import (
     CONFIRMED,
@@ -294,6 +301,31 @@ def test_matching_condition_exhaustive_3():
         assert report.counts[VIOLATED] == 0
         assert report.counts[EXTREMAL] >= 1
         assert report.counts[CONFIRMED] >= 1
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_matching_rows_carry_each_patterns_own_graph(nx):
+    # the row's n and m come from the pattern, not the graph: both must agree
+    zeros = np.zeros((nx, nx), dtype=bool)
+    graphs = []
+    for bits in range(1 << nx * nx):
+        g = bipartite_from_bits(nx, bits).to_graph()
+        biadj = np.array([[bits >> nx * x + y & 1 for y in range(nx)] for x in range(nx)],
+                         dtype=bool)
+        adj = np.block([[zeros, biadj], [biadj.T, zeros]])
+        assert g == Graph(2 * nx, adj)
+        graphs.append((g, adj))
+    # the family threshold needs delta < nx; the sqrt one is vacuous below nx = 6
+    for variant, delta in [("sqrt", 1)] + [("family", d) for d in range(1, nx)]:
+        report = verify_matching_condition(nx, delta, 0, variant)
+        assert len(report.rows) == len(graphs)
+        for bits, (row, (g, adj)) in enumerate(zip(report.rows, graphs)):
+            assert row["bits"] == bits
+            assert (row["n"], row["m"]) == (len(adj), int(adj.sum()) // 2)
+            assert row["graph6"] == to_graph6(g).decode()
+            assert from_graph6(row["graph6"]) == g
+            in_scope = variant == "family" and adj.sum(axis=1).min() == delta
+            assert (row["value"] is not None) == in_scope
 
 
 def test_matching_condition_sqrt_guard_vacuous():
