@@ -58,6 +58,19 @@ MUTANTS = [
     (VERIFY, 'n - 3 if variant == "rho"', 'n - 3.5 if variant == "rho"'),
     (VERIFY, "2 * n - 5)", "2 * n - 5.5)"),
     (VERIFY, "2 * delta + 8)", "2 * delta + 4)"),
+    # the list form of from_graph6: each array test, the transpose, the blocks
+    (GRAPHS, "ok = ((digits < 64).all(axis=1) & (head >= 1)", "ok = ((head >= 1)"),
+    (GRAPHS, "& (spare >= 0) & (spare < 6)", "& (spare >= 0)"),
+    (GRAPHS, "\n                  & ((digits[:, -1] & (1 << spare.clip(0, 5)) - 1) == 0))", ")"),
+    (GRAPHS, "line.isascii() else", "True else"),
+    (GRAPHS, "    stack |= stack.transpose(0, 2, 1)\n", ""),
+    (GRAPHS, "block = group[start:start + step]", "block = group[start:start + step - 1]"),
+    (GRAPHS, "zip(block[of_n].tolist(),", "zip(block[of_n][1:].tolist(),"),
+    # the decode stage: the items before a defect are eigensolved
+    (VERIFY, "list(decode(chunk[:exc.index])), exc", "[], exc"),
+    # the margin's strict and non-strict comparisons
+    (VERIFY, "if value < threshold - check.margin:", "if value <= threshold - check.margin:"),
+    (VERIFY, "elif value > threshold + check.margin:", "elif value >= threshold + check.margin:"),
     # the k-tree validator, one clause each
     (CERTIFIERS, "return max(deg) <= k if edges", "return max(deg) <= k + 1 if edges"),
     (CERTIFIERS, "if len(edges) != n - 1:", "if len(edges) > n - 1:"),

@@ -24,7 +24,10 @@ def check_tolerances(tol: float, margin: float | None = None) -> None:
 
 
 class Graph6ParseError(GraphInputError):
-    """Malformed graph6 input.  Carries the byte offset of the defect."""
+    """Malformed graph6 input.  Carries the byte offset of the defect, and
+    as ``index`` the list position of its line when a list was decoded."""
+
+    index: int | None = None
 
     def __init__(self, message: str, offset: int):
         super().__init__(message, offset)  # args as given, so it pickles

@@ -7,8 +7,9 @@ matrices ``adj`` and ``biadj`` are built, read-only, on each access.  Both
 are immutable, so instances can be shared freely across workers.  All
 operations here are pure functions returning new objects.  numpy is loaded
 only by the array constructors ``Graph(n, adj)`` and
-``BipartiteGraph(nx, ny, biadj)`` and by the ``adj``/``biadj`` views, so the
-mask-only paths (graph6, the certifiers) run without it.
+``BipartiteGraph(nx, ny, biadj)``, by the ``adj``/``biadj`` views and by the
+list form of ``from_graph6``, so the mask-only paths (graph6 one line at a
+time, the certifiers) run without it.
 
 The only interchange format is graph6 (McKay, "graph6 and sparse6 formats"):
 a header byte n+63 for n <= 62, or '~' and an 18-bit length beyond, then the
@@ -19,7 +20,8 @@ built-in ``binascii``.  The decoder lays the triangle out as a W-by-W bit
 matrix in one int and ORs it with its transpose, made by log2(W) delta
 swaps (Warren, Hacker's Delight, 2nd ed., 7-3); the encoder cuts the
 columns from the masks' binary string.  No loop runs per bit or per payload
-byte.
+byte.  A list of lines is decoded as arrays, a block of same-order graphs
+at a time (see ``_g6_list``).
 """
 
 from __future__ import annotations
@@ -450,6 +452,7 @@ def rotate_edges(g: Graph, u: int, v: int, targets: Iterable[int]) -> Graph:
 # graph6 codec
 
 _G6_MAX_SHORT = 62
+_G6_MAX_SHORT_LINE = 1 + (_G6_MAX_SHORT * (_G6_MAX_SHORT - 1) // 2 + 5) // 6  # 317 bytes
 _G6_MAX_LONG = 258047  # 18-bit length form
 # graph6 byte c carries the six bits of base64 digit c - 63; every byte
 # outside 63..126 becomes "!", which is no base64 digit
@@ -564,10 +567,12 @@ def to_graph6(g: Graph) -> bytes:
     return header + digits.translate(_B64_TO_G6)
 
 
-def from_graph6(text: bytes | str) -> Graph:
-    """Decode one graph6 line (optionally prefixed with '>>graph6<<').
+def from_graph6(text: bytes | str | list[bytes | str]) -> Graph | list[Graph]:
+    """Decode one graph6 line (optionally prefixed with '>>graph6<<'), or a
+    list of them into the list of their graphs.
 
-    The payload is base64 with its digits moved to bytes 63..126, so one
+    One line takes the scalar path, which loads no numpy.  Its payload is
+    base64 with its digits moved to bytes 63..126, so one
     ``bytes.translate`` and ``a2b_base64`` give its bits.  Those are laid
     out as a lower-triangular W-by-W bit matrix in one integer, row j
     holding vertex j's neighbours below it; ORed with its transpose (delta
@@ -575,7 +580,15 @@ def from_graph6(text: bytes | str) -> Graph:
     ``a2b_base64`` skips bytes it does not know, so out-of-range bytes are
     translated to "!" and the first one found by one ``find``, in the header
     as in the payload.
+
+    A list takes the array path (``_g6_list``) for its ASCII str lines with a
+    one-byte header, and the scalar path for every other line and every
+    line the array tests reject.  It raises the error of the lowest-index
+    defective line: the Graph6ParseError decoding that line alone raises,
+    with its list index set as ``index``.
     """
+    if isinstance(text, list):
+        return _g6_list(text)
     if isinstance(text, str):
         try:
             data = text.encode("ascii")
@@ -621,3 +634,78 @@ def from_graph6(text: bytes | str) -> Graph:
         matrix ^= t ^ t << shift
     packed = (lower | matrix).to_bytes(w * w // 8, "little")
     return Graph._from_masks(tuple(map(int.from_bytes, rows(packed), repeat("little")))[:n])
+
+
+# Matrix entries per block in the list form of from_graph6, to bound one
+# call's memory.
+DECODE_ENTRIES = 1 << 20
+
+
+def _g6_list(lines: list[bytes | str]) -> list[Graph]:
+    """The list form of ``from_graph6``.
+
+    The ASCII str lines are joined into one byte array and grouped by
+    length, and a group is taken in blocks of at most DECODE_ENTRIES matrix
+    entries.  A block's lines are checked by array tests: every byte in
+    63..126, a one-byte header whose order has that many payload bytes, and
+    zero padding bits.  Those that pass are decoded order by order: their
+    payload bits are scattered into the lower triangles of a boolean
+    (B, n, n) stack, which is ORed with its transpose and packed into
+    neighbour masks by ``_row_masks``.  Every other line, in list order,
+    takes the scalar path, so the first of them to fail is the lowest-index
+    defect.
+    """
+    import numpy as np
+
+    out: list[Graph | None] = [None] * len(lines)
+    # "" sends bytes and non-ASCII lines to the scalar path
+    texts = [line if type(line) is str and line.isascii() else "" for line in lines]
+    sizes = list(map(len, texts))
+    lengths = np.array(sizes, dtype=np.intp)
+    data = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    for size in set(sizes):
+        if not 1 <= size <= _G6_MAX_SHORT_LINE:
+            continue
+        group = np.flatnonzero(lengths == size)
+        # n * n <= 13 * size at every order whose line has this size
+        step = max(1, DECODE_ENTRIES // (13 * size))
+        for start in range(0, len(group), step):
+            block = group[start:start + step]
+            # graph6 bytes as digits; a byte outside 63..126 wraps to 64 or more
+            digits = data[starts[block, None] + np.arange(size)] - np.uint8(63)
+            head = digits[:, 0].astype(np.intp)
+            # the padding bits, 0..5 when the payload length fits the order
+            spare = 6 * (size - 1) - head * (head - 1) // 2
+            ok = ((digits < 64).all(axis=1) & (head >= 1) & (head <= _G6_MAX_SHORT)
+                  & (spare >= 0) & (spare < 6)
+                  & ((digits[:, -1] & (1 << spare.clip(0, 5)) - 1) == 0))
+            for n in np.flatnonzero(np.bincount(head[ok])).tolist():
+                of_n = ok & (head == n)
+                masks = _g6_block(digits[of_n, 1:], n)
+                for i, g in zip(block[of_n].tolist(),
+                                map(Graph._from_masks, zip(*[iter(masks)] * n))):
+                    out[i] = g
+    for i, g in enumerate(out):
+        if g is None:
+            try:
+                out[i] = from_graph6(lines[i])
+            except Graph6ParseError as exc:
+                exc.index = i
+                raise
+    return out
+
+
+def _g6_block(payload: np.ndarray, n: int) -> tuple[int, ...]:
+    """The neighbour masks, graph after graph, of the B valid payloads of
+    n-vertex graphs given as a (B, nbytes) array of 6-bit digits."""
+    import numpy as np
+
+    b = len(payload)
+    bits = np.unpackbits(payload[:, :, None], axis=2)[:, :, 2:].reshape(b, -1)
+    # entry (j, i), i < j, in the payload's order: x(0,1), x(0,2), x(1,2), ...
+    rows, cols = np.tril_indices(n, -1)
+    stack = np.zeros((b, n, n), dtype=bool)
+    stack[:, rows, cols] = bits[:, :len(rows)]
+    stack |= stack.transpose(0, 2, 1)
+    return _row_masks(stack.reshape(b * n, n))

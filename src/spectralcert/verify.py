@@ -24,12 +24,13 @@ graphs and makes one ``spectral_radius`` call per diagonal weight and order,
 on the stack of their matrices, and raises the error of the lowest list
 index.  The streamed harnesses (Hamilton paths, k-trees, matchings,
 edge-count bounds) run a contiguous chunk of their stream in three stages:
-each item is decoded and filtered on its own; the in-scope graphs go through
-one ``radii`` call; then each in-scope item is classified on its own, so
-certifiers and recognizers run only where a verdict needs them.  A chunk
-that meets an error (a graph6 defect, an uncertified eigenpair) raises the
-one of the lowest stream index.  One worker runs the stream as one chunk
-in the calling process.  More workers split it into one contiguous chunk
+the chunk is decoded and filtered, a chunk of graph6 lines in one
+``from_graph6`` call; the in-scope graphs go through one ``radii`` call;
+then each in-scope item is classified on its own, so certifiers and
+recognizers run only where a verdict needs them.  A chunk that meets an
+error (a graph6 defect, an uncertified eigenpair) raises the one of the
+lowest stream index.  One worker runs the stream as one chunk in the
+calling process.  More workers split it into one contiguous chunk
 each, run on the process's fork pool (see ``_map_items``), and join the
 rows in stream order.  Each worker is pinned to one CPU of the caller's set
 when the pool starts: left to the kernel, the workers were woken on the
@@ -264,23 +265,24 @@ def _close_pool() -> None:
 
 
 def _staged(decode: Callable, weights: tuple[float, ...], tol: float,
-            classify: Callable, chunk: Sequence) -> list[dict]:
+            classify: Callable, chunk: list) -> list[dict]:
     """The three stages over one chunk.
 
-    decode(item) -> (row, g, context), with g None for an item out of
-    scope; the in-scope graphs are eigensolved at every diagonal weight by
-    one ``spectral.radii`` call; classify(row, g, context, radii) fills in the
-    verdict.  When a decode or an eigensolve fails, the error of the lowest
-    stream index (then lowest weight) is raised and nothing is classified:
-    decoding stops at the first defect, so every eigensolve error precedes it.
+    decode(chunk) -> a (row, g, context) triple per item, with g None for an
+    item out of scope; the in-scope graphs are eigensolved at every diagonal
+    weight by one ``spectral.radii`` call; classify(row, g, context, radii)
+    fills in the verdict.  When a decode or an eigensolve fails, the error
+    of the lowest stream index (then lowest weight) is raised and nothing is
+    classified.  A decode error carries the chunk index of its item as
+    ``index``, and the items before it are decoded again and eigensolved
+    first, so that an eigensolve error among them wins.
     """
-    rows, scoped, defect = [], [], None
-    for item in chunk:
-        try:
-            row, g, context = decode(item)
-        except GraphInputError as exc:
-            defect = exc
-            break
+    try:
+        decoded, defect = list(decode(chunk)), None
+    except GraphInputError as exc:
+        decoded, defect = list(decode(chunk[:exc.index])), exc
+    rows, scoped = [], []
+    for row, g, context in decoded:
         if g is not None:
             scoped.append((len(rows), g, context))
         rows.append(row)
@@ -301,11 +303,11 @@ def _item_row(graph6: str | None, n: int, m: int | None, value: float | None = N
             "verdict": verdict, "certificate_type": None, **extra}
 
 
-def _line_decode(min_n: int, line: str) -> tuple[dict, Graph | None, None]:
-    """A graph6 line's row, and its graph when connected on min_n or more
-    vertices."""
-    g = from_graph6(line)
-    return _item_row(line, g.n, g.m), (g if g.n >= min_n and is_connected(g) else None), None
+def _line_decode(min_n: int, lines: list[str]) -> list[tuple[dict, Graph | None, None]]:
+    """Each graph6 line's row, and its graph when connected on min_n or more
+    vertices; the lines are decoded by one ``from_graph6`` call."""
+    return [(_item_row(line, g.n, g.m), g if g.n >= min_n and is_connected(g) else None, None)
+            for line, g in zip(lines, from_graph6(lines))]
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,8 @@ def verify_matching_condition(n: int, delta: int, a: float = 0.0,
 
     items = bipartite_bit_stream(n, sample_count, seed)
     rows = _map_items(
-        partial(_staged, partial(_matching_decode, n, delta, threshold), (float(a),), tol,
+        partial(_staged, partial(map, partial(_matching_decode, n, delta, threshold)),
+                (float(a),), tol,
                 partial(_classify, _Check(margin, partial(_constant, threshold),
                                           _matching_certified,
                                           partial(_is_matching_extremal, n, delta)))),

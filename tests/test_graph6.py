@@ -1,9 +1,13 @@
 """graph6 codec against a bit-by-bit reference, and its error messages."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectralcert import graphs
 from spectralcert.errors import Graph6ParseError
 from spectralcert.graphs import build_graph, from_graph6, to_graph6
 
@@ -157,3 +161,124 @@ def test_each_padding_bit_is_checked(n):
             assert parse_error(corrupt) == ("nonzero padding bits", len(line) - 1)
         else:
             assert from_graph6(corrupt).m == 1
+
+
+# ---------------------------------------------------------------------------
+# the list form
+
+
+def random_line(n, seed, p=0.5):
+    rng = random.Random(seed)
+    return to_graph6(build_graph(n, [(i, j) for j in range(n) for i in range(j)
+                                     if rng.random() < p]))
+
+
+def as_form(line, form):
+    return {"str": line.decode(), "bytes": line, "prefixed": ">>graph6<<" + line.decode(),
+            "prefixed bytes": b">>graph6<<" + line}[form]
+
+
+# both header forms, and the orders at the edges of a byte and of a word
+EDGE_ORDERS = [1, 2, 8, 9, 16, 17, 32, 33, 62, 63, 64, 65]
+
+
+@st.composite
+def graph6_lists(draw):
+    specs = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGE_ORDERS), st.integers(1, 70)),
+        st.integers(0, 2**32), st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        st.sampled_from(["str", "str", "str", "bytes", "prefixed", "prefixed bytes"])),
+        max_size=40))
+    return draw(st.permutations([as_form(random_line(n, seed, p), form)
+                                 for n, seed, p, form in specs]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph6_lists(), st.sampled_from([None, 1, 100]))
+def test_list_decode_equals_the_line_by_line_decode(lines, entries):
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:  # blocks of one graph, or of a few small ones
+            patch.setattr(graphs, "DECODE_ENTRIES", entries)
+        assert from_graph6(lines) == [from_graph6(line) for line in lines]
+
+
+def test_list_decode_of_the_empty_list():
+    assert from_graph6([]) == []
+
+
+def scalar_calls(monkeypatch, lines):
+    """The list decode of `lines`, and the lines it sent one at a time to
+    the scalar path."""
+    calls = []
+    decode = graphs.from_graph6
+
+    def counted(text):
+        if not isinstance(text, list):
+            calls.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(graphs, "from_graph6", counted)
+    return decode(lines), calls
+
+
+def test_list_decode_spans_several_blocks_without_the_scalar_path(monkeypatch):
+    lines = [random_line(62, seed).decode() for seed in range(700)]
+    lines += [random_line(9, seed, 0.3).decode() for seed in range(300)]
+    random.Random(4).shuffle(lines)
+    assert 700 > 2 * (graphs.DECODE_ENTRIES // 62**2)  # three blocks of order 62 at least
+    decoded, calls = scalar_calls(monkeypatch, lines)
+    assert calls == []
+    assert [g.neighbor_masks for g in decoded] == [reference_decode(line.encode())
+                                                   for line in lines]
+
+
+def test_only_lines_the_array_tests_refuse_take_the_scalar_path(monkeypatch):
+    short = [random_line(n, n).decode() for n in range(1, 63)]
+    scalar = [random_line(63, 1).decode(), random_line(70, 2).decode(),
+              ">>graph6<<" + short[4], short[5].encode(), short[6] + "\n"]
+    lines = short + scalar
+    random.Random(8).shuffle(lines)
+    want = [from_graph6(line) for line in lines]
+    assert scalar_calls(monkeypatch, lines) == (want, [line for line in lines if line in scalar])
+
+
+def check_list_error(lines, index, line):
+    """from_graph6(lines) raises what decoding `line`, lines[index], alone
+    raises, with that index, and the error pickles."""
+    assert lines[index] == line
+    with pytest.raises(Graph6ParseError) as alone:
+        from_graph6(line)
+    with pytest.raises(Graph6ParseError) as listed:
+        from_graph6(lines)
+    for exc in (listed.value, pickle.loads(pickle.dumps(listed.value))):
+        assert type(exc) is Graph6ParseError
+        assert (str(exc), exc.offset, exc.index) == (str(alone.value), alone.value.offset, index)
+
+
+@pytest.mark.parametrize("line", [line for line, message, _ in PINNED_ERRORS if message],
+                         ids=[f"case{k}" for k, case in enumerate(PINNED_ERRORS) if case[1]])
+def test_list_decode_raises_the_error_of_the_lowest_defective_line(line):
+    size = len(line)
+    others = [random_line(n, n).decode() for n in (1, 2, 5, 9, 17, 33, 64)]
+    others = [other for other in others if len(other) != size]
+    # valid lines of the defect's own length, where there are any
+    own = [random_line(n, seed).decode() for n in range(1, 63) for seed in (1, 2)
+           if len(random_line(n, 0)) == size]
+    later = "A" if size != 1 else "F??????"  # a defect of another length group
+    for i in (0, 3, len(others)):
+        before, after = others[:i], others[i:]
+        check_list_error(before + [line] + own + after + [later], i, line)
+        check_list_error(before + own + [line] + after + [later], i + len(own), line)
+        check_list_error(before + own + [line, later] + after, i + len(own), line)
+
+
+@pytest.mark.parametrize("line", [
+    "~" + "?" * 326,  # '~' is no one-byte header, whatever the length
+    "?", "??",  # order 0
+    ">" + "?" * 5,  # a header byte below 63 wraps around
+    "F???\x7f", "F??\x1f?",  # a payload byte outside 63..126
+    "Ao", "Bx", "D?@",  # padding
+])
+def test_list_decode_refuses_what_the_line_decode_refuses(line):
+    lines = [random_line(n, n).decode() for n in (3, 7, 40)]
+    check_list_error(lines[:2] + [line] + lines[2:], 2, line)

@@ -293,6 +293,24 @@ def test_classify_routing(where, found, extremal):
         assert (row["value"], row["threshold"]) == (value, 10.0)
 
 
+@pytest.mark.parametrize("found, extremal", [(True, True), (True, False),
+                                             (False, True), (False, False)])
+def test_classify_routes_both_margin_edges_as_inside(found, extremal):
+    from spectralcert.verify import _Check, _classify
+
+    calls = []
+    check = _Check(0.1, lambda n: 10.0,
+                   lambda *args: calls.append("certify") or (found, "cert"),
+                   lambda *args: calls.append("is_extremal") or extremal)
+    verdict, ctype, certify_calls, recognizer_calls = _ROUTES["inside", found, extremal]
+    for value in (10.0 - 0.1, 10.0 + 0.1):  # as _classify computes the edges
+        calls.clear()
+        row = {}
+        _classify(check, row, complete_graph(5), None, [value])
+        assert (row["verdict"], row["certificate_type"], calls.count("certify"),
+                calls.count("is_extremal")) == (verdict, ctype, certify_calls, recognizer_calls)
+
+
 def test_matching_condition_exhaustive_3():
     for a in (0, 1):
         report = verify_matching_condition(3, 1, a, "family")
@@ -535,6 +553,43 @@ def test_uncertified_eigenpair_raises_for_the_lowest_stream_index():
         for workers in (1, 2):
             with pytest.raises(error):
                 verify_hamilton_condition(lines, "rho", tol=1e-300, workers=workers)
+
+
+def test_a_defect_and_a_failed_eigensolve_in_other_length_groups_raise_by_stream_index():
+    # an order-5 line (3 bytes) whose eigensolve fails, and a 7-byte defect;
+    # the order-2 and order-3 lines are out of scope and never eigensolved
+    failing = next(line for line in connected_corpus_stream(5, 5)
+                   if _fails_alone(line, 1e-300))
+    want_convergence = _first_failure([failing], 0.0, 1e-300)
+    defect = "F??????"
+    with pytest.raises(Graph6ParseError) as alone:
+        from_graph6(defect)
+    pad = ["A_", "Bw"]
+    # at two workers: one chunk each, both in the first chunk, one chunk each
+    layouts = [[failing, defect], [failing, defect] + pad * 2,
+               [pad[0], failing] + pad + [defect, pad[1]]]
+    for layout in layouts:
+        for lines in (layout, [defect if line == failing else failing if line == defect
+                               else line for line in layout]):
+            first = next(line for line in lines if line in (failing, defect))
+            for workers in (1, 2):
+                with pytest.raises((ConvergenceError, Graph6ParseError)) as info:
+                    verify_hamilton_condition(lines, "rho", tol=1e-300, workers=workers)
+                if first == failing:
+                    assert type(info.value) is ConvergenceError
+                    assert str(info.value) == str(want_convergence)
+                else:
+                    assert type(info.value) is Graph6ParseError
+                    assert ((str(info.value), info.value.offset)
+                            == (str(alone.value), alone.value.offset))
+
+
+def _fails_alone(line, tol):
+    try:
+        spectral_radius(a_matrix(from_graph6(line), 0.0), tol)
+    except ConvergenceError:
+        return True
+    return False
 
 
 def _first_failure_by_graph(graphs, weights, tol):
