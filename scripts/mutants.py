@@ -71,6 +71,18 @@ MUTANTS = [
     # the margin's strict and non-strict comparisons
     (VERIFY, "if value < threshold - check.margin:", "if value <= threshold - check.margin:"),
     (VERIFY, "elif value > threshold + check.margin:", "elif value >= threshold + check.margin:"),
+    # find_k_tree's greedy first descent: the degree cap, the re-check of an
+    # end filled earlier in its class pair, the fragment exclusion, the order
+    (CERTIFIERS, "if deg[v] == k:", "if deg[v] == k + 1:"),
+    (CERTIFIERS, "if deg[u] == k:", "if deg[u] == k + 1:"),
+    (CERTIFIERS, "below ^= low_v\n                        ends &= below\n", "below ^= low_v\n"),
+    (CERTIFIERS, "(c2 if c1 & low else c1) & below & ~frag[ru]", "(c2 if c1 & low else c1) & below"),
+    (CERTIFIERS, "live &= ~frag[ru]", "live &= ~low_v"),
+    (CERTIFIERS, "for c2 in classes[i:]:\n            ends = (c1 | c2) & below",
+     "for c2 in classes[i + 1:]:\n            ends = (c1 | c2) & below"),
+    # the depth the resumed search unwinds to, one off either way
+    (CERTIFIERS, "replay = hi ", "replay = hi + 1 "),
+    (CERTIFIERS, "replay = hi ", "replay = hi - 1 "),
     # the k-tree validator, one clause each
     (CERTIFIERS, "return max(deg) <= k if edges", "return max(deg) <= k + 1 if edges"),
     (CERTIFIERS, "if len(edges) != n - 1:", "if len(edges) > n - 1:"),

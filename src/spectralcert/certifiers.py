@@ -4,7 +4,11 @@ Every search here is complete: an absent certificate is a proof of
 nonexistence within the stated caps.
 
 * ``find_k_tree``: spanning tree with maximum degree at most k, by
-  depth-first edge addition pruned by a connectivity test.
+  depth-first edge addition pruned by a connectivity test, in two phases.
+  The search's first descent runs as one degree-capped Kruskal greedy
+  pass, which returns its tree if it spans.  Only after a dead end does the
+  stack search run, entered at the shallowest depth of the descent whose
+  test fails, found by bisection.
 * ``find_win_violator``: a vertex set S whose removal leaves more than
   (k-2)|S| + 2 components, searched in increasing size and then
   lexicographically, so it is a smallest one.  Components are counted only
@@ -22,6 +26,7 @@ are deterministic for a fixed input labeling.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -83,40 +88,32 @@ def certificate_to_json(cert: Certificate) -> dict:
 def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     """A spanning tree of g with every degree <= k, or None if none exists.
 
-    Exact search; g must be connected.  Edges are tried in the order
-    (smaller end degree, larger end degree, u, v), held as entries: one
-    vertex u and the mask of its neighbours v > u in one degree class.  They
-    are built in that order, with no sort: for each pair of degree classes
-    d1 <= d2 in ascending order, each u of either class in ascending order
-    gives the mask of its neighbours v > u in the other class (in its own
-    class when d1 = d2).  Taking each mask's bits in ascending v then gives
-    exactly that edge order, and so the same certificates as a scan over
-    single edges.  A search position is (entry, bits left in
-    it); the next live edge is the lowest bit of the entry's mask that is
-    left, below degree k and outside u's fragment, kept as one vertex mask
-    per union-find root.
-
-    Each search node may test feasibility, then branches (add, then
-    exclude) on the next live edge, depth first on an explicit stack.  The
-    test is that the possibility graph (tree edges plus undecided edges
+    Exact search; g must be connected.  The search is depth first, add
+    before exclude, over the edges in the order (smaller end degree, larger
+    end degree, u, v), and it branches only on live edges: both ends below
+    degree k, in different fragments.  That order is walked with no sort:
+    for each pair of degree classes d1 <= d2 in ascending order, each u of
+    either class in ascending order takes its neighbours v > u in the other
+    class (in its own class when d1 = d2), in ascending order.  A node's
+    test is that its possibility graph (tree edges plus undecided edges
     whose ends are both below degree k) is connected.  That also gives every
     fragment a usable edge to the outside, since tree edges stay inside
-    fragments.  The root's possibility graph is g, so the root test is the
-    connectivity check.  Below it nothing is tested until the first dead
-    end, a node with no live edge and fewer than n - 1 tree edges.  A
-    descent that meets none excluded nothing, so its tree lies in every
-    ancestor's possibility graph and every skipped test would have passed;
-    and a failed test only prunes subtrees holding no k-tree, so the first
-    tree in DFS order does not move.  The untested stretch is one path, so
-    backtracking along it costs at most one test a frame.  From the first
-    dead end on, the graph loses edges only on an exclusion, or when an
-    added edge fills an end that still has an undecided edge to a vertex
-    below k; every other node keeps its parent's graph, and so its passing
-    test, unrun.
-    Skipping dead edges is exact: fragments only merge and degrees only
-    grow below a node, so a dead edge stays dead there, and the test never
-    needs one (an edge inside a fragment joins vertices the tree already
-    connects; an edge at a full vertex is not usable).
+    fragments.  A failed test only prunes subtrees holding no k-tree, so a
+    test known to pass can be skipped, and a node known to fail passed
+    over, without moving the first tree in DFS order.
+
+    Let A_d be the possibility graph of the first descent's node at depth d,
+    after d adds and no exclusion.  An add keeps its edge in the graph and
+    only fills vertices, so A_d only loses edges as d grows; A_0 = g is
+    connected, which is the root test.  If the descent reaches n - 1 edges,
+    its tree lies in every A_d, so every test on the way passes and the
+    tree is the answer.  That descent adds each edge that is live when its
+    turn comes: it is a degree-capped Kruskal greedy, run here as one pass
+    with a union-find and a degree count per vertex, and no test.
+    Otherwise the pass ends at a dead end, a depth D with no live edge
+    left, where A_D's undecided edges below k all lie inside fragments: A_D
+    is disconnected, and ``_resume_k_tree`` carries on from the least d*
+    with A_d disconnected.
     """
     if k < 2:
         raise GraphInputError(f"degree bound must be at least 2, got {k}")
@@ -132,8 +129,94 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     for v, d in enumerate(g.degrees):
         classes[d] |= 1 << v
     classes = [c for c in classes if c]  # ascending degree
-    above = [m >> u + 1 << u + 1 for u, m in enumerate(masks)]
-    entries = []
+    parent = list(range(n))
+    frag = [1 << v for v in range(n)]  # vertices of each root's fragment
+    deg = [0] * n
+    below = full  # vertices of degree < k
+    chosen: list[tuple[int, int]] = []
+    for i, c1 in enumerate(classes):
+        for c2 in classes[i:]:
+            ends = (c1 | c2) & below
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                u = low.bit_length() - 1
+                ru = u
+                while parent[ru] != ru:
+                    ru = parent[ru]
+                live = masks[u] & -(2 << u) & (c2 if c1 & low else c1) & below & ~frag[ru]
+                while live:
+                    low_v = live & -live
+                    v = low_v.bit_length() - 1
+                    rv = v
+                    while parent[rv] != rv:
+                        rv = parent[rv]
+                    chosen.append((u, v))
+                    if len(chosen) == n - 1:
+                        return KTreeCertificate(tuple(sorted(chosen)))
+                    if frag[ru].bit_count() < frag[rv].bit_count():
+                        ru, rv = rv, ru
+                    parent[rv] = ru
+                    frag[ru] |= frag[rv]
+                    deg[v] += 1
+                    if deg[v] == k:  # v may still be ahead in ends
+                        below ^= low_v
+                        ends &= below
+                    deg[u] += 1
+                    if deg[u] == k:
+                        below ^= low
+                        break
+                    live &= ~frag[ru]
+    return _resume_k_tree(masks, classes, k, chosen)
+
+
+def _resume_k_tree(masks: tuple[int, ...], classes: list[int], k: int,
+                   descent: list[tuple[int, int]]) -> KTreeCertificate | None:
+    """The rest of ``find_k_tree``'s search, after its first descent added
+    the edges `descent` in order and dead-ended.
+
+    With A_d as in ``find_k_tree``, the descent's nodes above depth d* pass
+    their tests and the nodes from d* on fail theirs.  So does the exclude
+    node of each edge j > d*, whose possibility graph is A_{j-1} minus edge
+    j.  d* is found by bisection over the descent, with O(log n) tests.  The
+    search replays the first d* adds untested into its own state, frames
+    included, then backtracks from depth d* as from a failed node, which
+    opens the exclude node of edge d*: every node it passes over would have
+    failed its test.
+
+    From there the search runs on an explicit stack.  The edge order is
+    held as entries: one vertex u and the mask of its neighbours v > u in
+    one degree class.  A search position is (entry, bits left in it); the
+    next live edge is the lowest bit of the entry's mask that is left,
+    below degree k and outside u's fragment, kept as one vertex mask per
+    union-find root.  The possibility graph loses edges only on an
+    exclusion, or when an added edge fills an end that still has an
+    undecided edge to a vertex below k; every other node keeps its parent's
+    graph, and so its passing test, unrun.  Skipping dead edges is exact:
+    fragments only merge and degrees only grow below a node, so a dead edge
+    stays dead there, and the test never needs one (an edge inside a
+    fragment joins vertices the tree already connects; an edge at a full
+    vertex is not usable).
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    lo, hi = 0, len(descent)  # A_lo is connected, A_hi is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        tree_adj = [0] * n
+        for u, v in descent[:mid]:
+            tree_adj[u] |= 1 << v
+            tree_adj[v] |= 1 << u
+        below = full
+        for v, t in enumerate(tree_adj):
+            if t.bit_count() == k:
+                below ^= 1 << v
+        if _possible_connected(tree_adj, masks, below, full):
+            lo = mid
+        else:
+            hi = mid
+
+    entries = []  # (u, mask of its neighbours v > u in one degree class), in edge order
     for i, c1 in enumerate(classes):
         for c2 in classes[i:]:
             ends = c1 | c2
@@ -141,7 +224,7 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
                 low = ends & -ends
                 ends ^= low
                 u = low.bit_length() - 1
-                part = above[u] & (c2 if c1 & low else c1)
+                part = masks[u] & -(2 << u) & (c2 if c1 & low else c1)
                 if part:
                     entries.append((u, part))
     ne = len(entries)
@@ -164,13 +247,11 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     e = 0
     after = -1  # bits of entry e not yet passed
     stale = False  # the possibility graph lost an edge since it last passed
-    tested = False  # a node has failed: from here on, stale nodes are tested
+    replay = hi  # adds of the descent still to redo untested; the last lands at d*
     while len(chosen) < n - 1:
         # one search node: test the possibility graph, then add the next live edge
         if stale:
-            possible = [t | a & below if below >> v & 1 else t
-                        for v, (t, a) in enumerate(zip(tree_adj, und))]
-            stale = _reach(possible, 1, full) != full
+            stale = not _possible_connected(tree_adj, und, below, full)
         live = 0
         if not stale:
             while e < ne:
@@ -201,13 +282,17 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
             if tree_adj[v].bit_count() == k:
                 below &= ~low
                 lost |= und[v]
-            stale = tested and lost & below != 0
             chosen.append((u, v))
             frames.append((e, v, ru, rv))
             after = -(2 << v)
-            continue
-        # this node failed: undo to the deepest add branch, then exclude it
-        tested = True
+            if not replay:
+                stale = lost & below != 0
+                continue
+            replay -= 1
+            if replay:
+                continue
+        # this node failed, or is the descent's node at depth d*, which
+        # would: undo to the deepest add branch, then exclude it
         while frames:
             e, v, ru, rv = frames.pop()
             u = entries[e][0]
@@ -228,6 +313,15 @@ def find_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
         else:
             return None
     return KTreeCertificate(tuple(sorted(chosen)))
+
+
+def _possible_connected(tree_adj: list[int], und: Sequence[int], below: int,
+                        full: int) -> bool:
+    """Whether the tree edges `tree_adj` and the edges of `und` with both
+    ends in `below` connect every vertex."""
+    possible = [t | a & below if below >> v & 1 else t
+                for v, (t, a) in enumerate(zip(tree_adj, und))]
+    return _reach(possible, 1, full) == full
 
 
 def is_valid_ktree(g: Graph, k: int, cert: KTreeCertificate) -> bool:

@@ -34,6 +34,7 @@ from spectralcert.graphs import (
     is_connected,
     path_graph,
     star_graph,
+    to_graph6,
 )
 from spectralcert.smallgraphs import connected_graphs
 from spectralcert.verify import bipartite_from_bits
@@ -393,6 +394,69 @@ def test_k_tree_matches_a_fully_tested_reference():
             assert find_k_tree(g, k) == expected
             found += expected is not None
     assert 0 < found < 2 * len(graphs)
+
+
+def _greedy_k_tree(g, k):
+    """The degree-capped Kruskal greedy: each edge in the order (smaller end
+    degree, larger end degree, u, v) whose ends are both below degree k and
+    in different fragments is added.  Its tree, or None if it stops short."""
+    n, deg = g.n, g.degrees
+    edges = sorted((min(deg[u], deg[v]), max(deg[u], deg[v]), u, v)
+                   for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v))
+    tree, tdeg = [], [0] * n
+    frag = list(range(n))  # a fragment label per vertex
+    for _, _, u, v in edges:
+        if tdeg[u] < k and tdeg[v] < k and frag[u] != frag[v]:
+            tree.append((u, v))
+            tdeg[u] += 1
+            tdeg[v] += 1
+            frag = [frag[u] if f == frag[v] else f for f in frag]
+    return KTreeCertificate(tuple(sorted(tree))) if len(tree) == n - 1 else None
+
+
+def test_k_tree_search_after_a_dead_end_matches_the_reference():
+    # the search's first descent is the greedy; where the greedy stops short,
+    # the search resumes from the descent's shallowest failing depth, and
+    # must still return the first tree of the fully tested DFS
+    pairs = [(g, k) for n in range(1, 8) for g in connected_graphs(n) for k in (2, 3)]
+    rng = np.random.default_rng(29)
+    pairs += [(_random_connected(rng, n, rng.uniform(0.3, 0.4)), 2)
+              for n in range(10, 17) for _ in range(30)]
+    found = absent = 0
+    for g, k in pairs:
+        greedy = _greedy_k_tree(g, k)
+        if greedy is not None:
+            assert find_k_tree(g, k) == greedy
+            continue
+        expected = _reference_k_tree(g, k)
+        assert find_k_tree(g, k) == expected, (to_graph6(g), k)
+        found += expected is not None
+        absent += expected is None
+    # the n <= 7 corpus alone has 7 such pairs with a tree (EqJ_ at k = 2 is
+    # one) and 162 without
+    assert found >= 5 and absent >= 5
+
+
+def test_k_tree_search_bisects_its_first_descent(monkeypatch):
+    from spectralcert import certifiers
+
+    calls = []
+    reach = certifiers._reach
+    monkeypatch.setattr(certifiers, "_reach",
+                        lambda *args: calls.append(1) or reach(*args))
+    counts = []
+    for n in (22, 40, 60):
+        calls.clear()
+        assert find_k_tree(ktree_extremal(n, 3), 3) is None
+        counts.append(len(calls))
+    # the descent adds the three pendant edges, which fill the centre, then
+    # a path through the clique, and dead-ends at depth n - 2.  The
+    # possibility graph is disconnected from depth 3 on.  So the search makes
+    # the root test, 4, 5 or 6 bisection tests over the descent, and one
+    # failing test at each pendant edge's exclude node.  Backtracking frame
+    # by frame from the dead end would test about n times.
+    assert counts[2] - counts[0] <= 3
+    assert counts == [1 + 4 + 3, 1 + 5 + 3, 1 + 6 + 3]
 
 
 def test_win_violator_on_extremal_graph():
